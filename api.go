@@ -212,9 +212,18 @@ type ClientMetrics struct {
 	// still computed and served).
 	StoreErrors uint64 `json:"store_errors"`
 	// WarmupShares counts runs that skipped their warmup by resuming from
-	// a shared warmup checkpoint (same machine/benchmark/warmup, differing
-	// only in fault or recovery configuration).
+	// a shared golden checkpoint ladder (same machine/benchmark/run
+	// lengths, differing only in fault configuration).
 	WarmupShares uint64 `json:"warmup_shares"`
+	// LadderResumes counts ladder-served runs that resumed at a rung past
+	// the end of the warmup, skipping part of the measured run.
+	LadderResumes uint64 `json:"ladder_resumes"`
+	// CleanShortcuts counts ladder-served runs that never inject a fault
+	// and took the fault-free run's outcome without simulating.
+	CleanShortcuts uint64 `json:"clean_shortcuts"`
+	// SkippedInstrs counts measured instructions ladder-served runs did
+	// not re-simulate.
+	SkippedInstrs uint64 `json:"skipped_instrs"`
 	// IntervalRuns counts runs executed interval-parallel (Options.Intervals
 	// > 1).
 	IntervalRuns uint64 `json:"interval_runs"`
@@ -380,18 +389,21 @@ func (c *Client) Metrics() ClientMetrics {
 		return ClientMetrics{}
 	}
 	return ClientMetrics{
-		Runs:         c.sims.Runs(),
-		Hits:         c.sims.Hits(),
-		CacheHits:    c.sims.CacheHits(),
-		CacheMisses:  c.sims.CacheMisses(),
-		DedupWaits:   c.sims.DedupWaits(),
-		StoreHits:    c.sims.StoreHits(),
-		StoreErrors:  c.sims.StoreErrors(),
-		WarmupShares: c.sims.WarmupShares(),
-		IntervalRuns: c.sims.IntervalRuns(),
-		RecoveryRuns: c.sims.RecoveryRuns(),
-		Rollbacks:    c.sims.Rollbacks(),
-		Stages:       stageSummaries(c.sims.StageSnapshots()),
+		Runs:           c.sims.Runs(),
+		Hits:           c.sims.Hits(),
+		CacheHits:      c.sims.CacheHits(),
+		CacheMisses:    c.sims.CacheMisses(),
+		DedupWaits:     c.sims.DedupWaits(),
+		StoreHits:      c.sims.StoreHits(),
+		StoreErrors:    c.sims.StoreErrors(),
+		WarmupShares:   c.sims.WarmupShares(),
+		LadderResumes:  c.sims.LadderResumes(),
+		CleanShortcuts: c.sims.CleanShortcuts(),
+		SkippedInstrs:  c.sims.SkippedInstrs(),
+		IntervalRuns:   c.sims.IntervalRuns(),
+		RecoveryRuns:   c.sims.RecoveryRuns(),
+		Rollbacks:      c.sims.Rollbacks(),
+		Stages:         stageSummaries(c.sims.StageSnapshots()),
 	}
 }
 

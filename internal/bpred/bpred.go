@@ -149,14 +149,21 @@ func (c *Combining) Stats() (lookups, mispredicts uint64) {
 	return c.lookups, c.mispredicts
 }
 
-// Clone returns a deep copy of the whole predictor complex (used by
-// simulation checkpoints).
-func (c *Combining) Clone() *Combining {
-	out := *c
-	out.gshare = c.gshare.Clone()
-	out.pas = c.pas.Clone()
-	out.meta = append([]Counter2(nil), c.meta...)
-	return &out
+// CopyFrom overwrites c with a deep copy of o, reusing c's tables when
+// they are large enough. c may be the zero Combining.
+func (c *Combining) CopyFrom(o *Combining) {
+	gshare, pas, meta := c.gshare, c.pas, c.meta
+	*c = *o
+	if gshare == nil {
+		gshare = new(Gshare)
+	}
+	if pas == nil {
+		pas = new(PAs)
+	}
+	gshare.CopyFrom(o.gshare)
+	pas.CopyFrom(o.pas)
+	c.gshare, c.pas = gshare, pas
+	c.meta = append(meta[:0], o.meta...)
 }
 
 // MispredictRate returns the fraction of updated predictions that were

@@ -51,11 +51,12 @@ func (g *Gshare) Update(pc uint64, taken bool) {
 // History returns the current global history register (for tests).
 func (g *Gshare) History() uint64 { return g.history }
 
-// Clone returns a deep copy of the predictor's tables and history.
-func (g *Gshare) Clone() *Gshare {
-	c := *g
-	c.table = append([]Counter2(nil), g.table...)
-	return &c
+// CopyFrom overwrites g with a deep copy of o, reusing g's table when it
+// is large enough. g may be the zero Gshare.
+func (g *Gshare) CopyFrom(o *Gshare) {
+	table := g.table
+	*g = *o
+	g.table = append(table[:0], o.table...)
 }
 
 func b2u(b bool) uint64 {

@@ -59,10 +59,11 @@ func (p *PAs) Update(pc uint64, taken bool) {
 	p.histories[l1] = ((p.histories[l1] << 1) | b2u(taken)) & p.histMask
 }
 
-// Clone returns a deep copy of both predictor levels.
-func (p *PAs) Clone() *PAs {
-	c := *p
-	c.histories = append([]uint64(nil), p.histories...)
-	c.table = append([]Counter2(nil), p.table...)
-	return &c
+// CopyFrom overwrites p with a deep copy of o, reusing p's tables when
+// they are large enough. p may be the zero PAs.
+func (p *PAs) CopyFrom(o *PAs) {
+	histories, table := p.histories, p.table
+	*p = *o
+	p.histories = append(histories[:0], o.histories...)
+	p.table = append(table[:0], o.table...)
 }

@@ -23,9 +23,11 @@ type Cache struct {
 	setMask  uint64
 	setShift uint
 
-	tags  [][]uint64 // 0 = invalid (tags are forced nonzero)
-	lru   [][]uint8
-	dirty [][]bool
+	// tags, lru and dirty are flat set-major arrays indexed set*ways+way,
+	// so a checkpoint copies three slices instead of three per set.
+	tags  []uint64 // 0 = invalid (tags are forced nonzero)
+	lru   []uint8
+	dirty []bool
 
 	accesses  uint64
 	misses    uint64
@@ -65,16 +67,11 @@ func NewCache(name string, size, assoc, lineSize int) *Cache {
 		setMask:  uint64(sets - 1),
 		setShift: setShift,
 	}
-	c.tags = make([][]uint64, sets)
-	c.lru = make([][]uint8, sets)
-	c.dirty = make([][]bool, sets)
-	for i := 0; i < sets; i++ {
-		c.tags[i] = make([]uint64, assoc)
-		c.lru[i] = make([]uint8, assoc)
-		c.dirty[i] = make([]bool, assoc)
-		for w := 0; w < assoc; w++ {
-			c.lru[i][w] = uint8(w)
-		}
+	c.tags = make([]uint64, sets*assoc)
+	c.lru = make([]uint8, sets*assoc)
+	c.dirty = make([]bool, sets*assoc)
+	for i := range c.lru {
+		c.lru[i] = uint8(i % assoc)
 	}
 	return c
 }
@@ -87,16 +84,20 @@ func (c *Cache) split(addr uint64) (set uint64, tag uint64) {
 	return line & c.setMask, (line >> c.setShift) | 1<<63
 }
 
+// base returns the first flat index of set's ways.
+func (c *Cache) base(set uint64) int { return int(set) * c.ways }
+
 // Lookup probes the cache without filling. It updates LRU state and the
 // hit/miss statistics.
 func (c *Cache) Lookup(addr uint64, write bool) bool {
 	c.accesses++
 	set, tag := c.split(addr)
+	b := c.base(set)
 	for w := 0; w < c.ways; w++ {
-		if c.tags[set][w] == tag {
-			c.touch(set, w)
+		if c.tags[b+w] == tag {
+			c.touch(b, w)
 			if write {
-				c.dirty[set][w] = true
+				c.dirty[b+w] = true
 			}
 			return true
 		}
@@ -109,8 +110,9 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 // statistics. Used by tests and by the hierarchy's inclusion checks.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.split(addr)
+	b := c.base(set)
 	for w := 0; w < c.ways; w++ {
-		if c.tags[set][w] == tag {
+		if c.tags[b+w] == tag {
 			return true
 		}
 	}
@@ -122,30 +124,31 @@ func (c *Cache) Probe(addr uint64) bool {
 // dirtyOnly) line occurred.
 func (c *Cache) Fill(addr uint64, write bool) (victim uint64, dirtyEvict bool) {
 	set, tag := c.split(addr)
+	b := c.base(set)
 	victimWay := 0
 	for w := 0; w < c.ways; w++ {
-		if c.tags[set][w] == tag {
+		if c.tags[b+w] == tag {
 			// Already present (raced fills are benign).
-			c.touch(set, w)
+			c.touch(b, w)
 			if write {
-				c.dirty[set][w] = true
+				c.dirty[b+w] = true
 			}
 			return 0, false
 		}
-		if c.lru[set][w] > c.lru[set][victimWay] {
+		if c.lru[b+w] > c.lru[b+victimWay] {
 			victimWay = w
 		}
 	}
-	oldTag := c.tags[set][victimWay]
-	wasDirty := c.dirty[set][victimWay]
+	oldTag := c.tags[b+victimWay]
+	wasDirty := c.dirty[b+victimWay]
 	if oldTag != 0 {
 		c.evictions++
 		victim = c.reconstruct(set, oldTag)
 		dirtyEvict = wasDirty
 	}
-	c.tags[set][victimWay] = tag
-	c.dirty[set][victimWay] = write
-	c.touch(set, victimWay)
+	c.tags[b+victimWay] = tag
+	c.dirty[b+victimWay] = write
+	c.touch(b, victimWay)
 	return victim, dirtyEvict
 }
 
@@ -155,29 +158,27 @@ func (c *Cache) reconstruct(set uint64, tag uint64) uint64 {
 	return line << c.lineBits
 }
 
-func (c *Cache) touch(set uint64, w int) {
-	old := c.lru[set][w]
-	for i := 0; i < c.ways; i++ {
-		if c.lru[set][i] < old {
-			c.lru[set][i]++
+// touch marks way w of the set starting at flat index b most recently used.
+func (c *Cache) touch(b, w int) {
+	lru := c.lru[b : b+c.ways]
+	old := lru[w]
+	for i := range lru {
+		if lru[i] < old {
+			lru[i]++
 		}
 	}
-	c.lru[set][w] = 0
+	lru[w] = 0
 }
 
-// Clone returns a deep copy of the cache's tags, LRU, dirty bits, and
-// counters (used by simulation checkpoints).
-func (c *Cache) Clone() *Cache {
-	out := *c
-	out.tags = make([][]uint64, c.sets)
-	out.lru = make([][]uint8, c.sets)
-	out.dirty = make([][]bool, c.sets)
-	for i := 0; i < c.sets; i++ {
-		out.tags[i] = append([]uint64(nil), c.tags[i]...)
-		out.lru[i] = append([]uint8(nil), c.lru[i]...)
-		out.dirty[i] = append([]bool(nil), c.dirty[i]...)
-	}
-	return &out
+// CopyFrom overwrites c with a deep copy of o, reusing c's arrays when
+// they are large enough, so restoring a checkpoint into a cache of the
+// same geometry allocates nothing. c may be the zero Cache.
+func (c *Cache) CopyFrom(o *Cache) {
+	tags, lru, dirty := c.tags, c.lru, c.dirty
+	*c = *o
+	c.tags = append(tags[:0], o.tags...)
+	c.lru = append(lru[:0], o.lru...)
+	c.dirty = append(dirty[:0], o.dirty...)
 }
 
 // Stats returns accesses, misses, and evictions.

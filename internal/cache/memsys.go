@@ -92,19 +92,39 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	return h
 }
 
-// Clone returns a deep copy of the whole hierarchy — cache contents,
-// in-flight MSHR state, bus/port occupancy, prefetcher tables, and counters
-// (used by simulation checkpoints).
-func (h *Hierarchy) Clone() *Hierarchy {
-	c := *h
-	c.l1i = h.l1i.Clone()
-	c.l1d = h.l1d.Clone()
-	c.l2 = h.l2.Clone()
-	c.mshr = h.mshr.Clone()
-	if h.pf != nil {
-		c.pf = h.pf.clone()
+// CopyFrom overwrites h with a deep copy of o, reusing h's caches, MSHR
+// file and prefetcher tables when they are large enough, so restoring a
+// checkpoint into a hierarchy of the same configuration allocates
+// nothing beyond the prefetcher's tracking map. h may be the zero
+// Hierarchy.
+func (h *Hierarchy) CopyFrom(o *Hierarchy) {
+	l1i, l1d, l2, mshr, pf := h.l1i, h.l1d, h.l2, h.mshr, h.pf
+	*h = *o
+	h.l1i = copyCache(l1i, o.l1i)
+	h.l1d = copyCache(l1d, o.l1d)
+	h.l2 = copyCache(l2, o.l2)
+	if mshr == nil {
+		mshr = new(MSHRFile)
 	}
-	return &c
+	mshr.CopyFrom(o.mshr)
+	h.mshr = mshr
+	h.pf = nil
+	if o.pf != nil {
+		if pf == nil {
+			pf = new(prefetcher)
+		}
+		pf.copyFrom(o.pf)
+		h.pf = pf
+	}
+}
+
+// copyCache copies src into dst (allocated when nil) and returns dst.
+func copyCache(dst, src *Cache) *Cache {
+	if dst == nil {
+		dst = new(Cache)
+	}
+	dst.CopyFrom(src)
+	return dst
 }
 
 // BeginCycle releases completed MSHRs and resets the per-cycle port count.

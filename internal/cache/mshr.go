@@ -141,11 +141,12 @@ func (m *MSHRFile) Expire(now int64) {
 // InFlight returns the number of occupied registers.
 func (m *MSHRFile) InFlight() int { return m.inFlight }
 
-// Clone returns a deep copy of the file, including in-flight misses.
-func (m *MSHRFile) Clone() *MSHRFile {
-	c := *m
-	c.slots = append([]mshrSlot(nil), m.slots...)
-	return &c
+// CopyFrom overwrites m with a deep copy of o, reusing m's registers when
+// there are enough. m may be the zero MSHRFile.
+func (m *MSHRFile) CopyFrom(o *MSHRFile) {
+	slots := m.slots
+	*m = *o
+	m.slots = append(slots[:0], o.slots...)
 }
 
 // NextReady returns the earliest completion strictly after now among the

@@ -138,14 +138,19 @@ func (p *prefetcher) observe(lineAddr uint64) []uint64 {
 // Stats returns issued prefetches and the number later demanded.
 func (p *prefetcher) Stats() (issued, useful uint64) { return p.issued, p.useful }
 
-// clone returns a deep copy of the reference-prediction table and tracking
-// state.
-func (p *prefetcher) clone() *prefetcher {
-	c := *p
-	c.entries = append([]rptEntry(nil), p.entries...)
-	c.tracked = make(map[uint64]bool, len(p.tracked))
-	for line, v := range p.tracked {
-		c.tracked[line] = v
+// copyFrom overwrites p with a deep copy of o's reference-prediction
+// table and tracking state, reusing p's table and map. p may be the zero
+// prefetcher.
+func (p *prefetcher) copyFrom(o *prefetcher) {
+	entries, tracked := p.entries, p.tracked
+	*p = *o
+	p.entries = append(entries[:0], o.entries...)
+	if tracked == nil {
+		tracked = make(map[uint64]bool, len(o.tracked))
 	}
-	return &c
+	clear(tracked)
+	for line, v := range o.tracked {
+		tracked[line] = v
+	}
+	p.tracked = tracked
 }

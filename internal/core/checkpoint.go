@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 
-	"repro/internal/isa"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -26,12 +25,16 @@ type Checkpoint struct {
 
 // Checkpoint captures the engine's complete state. It fails with
 // ErrNoCloneSource when the instruction source cannot be cloned (a custom
-// Source not implementing trace.CloneSource).
+// Source not implementing trace.CloneSource). The capture carries no
+// observers — fault and retire hooks, retire marks and draw recorders stay
+// with the engine — so checkpoints can be shared between runs.
 func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	if _, ok := e.gen.(trace.CloneSource); !ok {
 		return nil, ErrNoCloneSource
 	}
-	return &Checkpoint{e: e.deepClone()}, nil
+	c := e.deepClone()
+	c.retireHook, c.faultHook, c.onMark, c.draws = nil, nil, nil, nil
+	return &Checkpoint{e: c}, nil
 }
 
 // FetchSeq returns the next correct-path fetch sequence number at the
@@ -49,9 +52,17 @@ func (cp *Checkpoint) Stats() Stats { return cp.e.stats }
 // checkpoint or its siblings.
 func (cp *Checkpoint) NewEngine() *Engine { return cp.e.deepClone() }
 
-// Restore rewinds e to the checkpointed state in place. All of e's prior
-// state, including any retire hook, is replaced by the checkpoint's.
-func (e *Engine) Restore(cp *Checkpoint) { *e = *cp.e.deepClone() }
+// Restore rewinds e to the checkpointed state in place, copying into e's
+// existing buffers so a rollback allocates nothing. e keeps its own
+// observers (fault and retire hooks, retire mark, draw recorder); every
+// other piece of state is replaced by the checkpoint's.
+func (e *Engine) Restore(cp *Checkpoint) {
+	retireHook, faultHook := e.retireHook, e.faultHook
+	markAt, onMark, draws := e.markAt, e.onMark, e.draws
+	e.copyFrom(cp.e)
+	e.retireHook, e.faultHook = retireHook, faultHook
+	e.markAt, e.onMark, e.draws = markAt, onMark, draws
+}
 
 // SetFaultConfig reconfigures fault injection on a (typically
 // checkpoint-spawned) engine: per-instruction rate, injector seed, and the
@@ -69,65 +80,162 @@ func (e *Engine) SetFaultConfig(rate float64, seed uint64, lo, hi uint64) {
 	e.cfg.FaultRate = rate
 	e.cfg.FaultSeed = seed
 	e.cfg.FaultWindowLo, e.cfg.FaultWindowHi = lo, hi
-	e.frng = rng.New(seed ^ 0xfa117_5eed)
+	e.frng.Seed(seed ^ faultSeedMix)
+}
+
+// faultSeedMix decorrelates the injector stream from the workload seeds.
+const faultSeedMix = 0xfa117_5eed
+
+// ResumeFaults is SetFaultConfig for an engine spawned from a checkpoint
+// taken partway through a fault-free run: the injector also skips the
+// drawn draws the trial would have made before the capture (see
+// DrawLog.Drawn). The result is exact when none of those draws injected,
+// which DrawLog.FirstFault decides.
+func (e *Engine) ResumeFaults(rate float64, seed, lo, hi, drawn uint64) {
+	e.SetFaultConfig(rate, seed, lo, hi)
+	e.frng.Skip(drawn)
+}
+
+// RecordDraws starts (log non-nil) or stops (nil) recording the engine's
+// fault-draw sites into log: the fetch sequence number of every
+// correct-path instruction that reaches a draw, in draw order, whether or
+// not injection is enabled.
+func (e *Engine) RecordDraws(log *DrawLog) { e.draws = log }
+
+// DrawLog is the fault-draw trace of a fault-free run (RecordDraws). A
+// trial of the same machine injecting at rate r in window [lo, hi) makes
+// one Bool(r) injector draw for each logged seq inside its window, in log
+// order, and is bit-identical to the fault-free run until one of them
+// injects — so the log answers where any trial diverges without
+// simulating it.
+type DrawLog []uint64
+
+// FirstFault replays the injector of a trial with the given fault
+// configuration over the log and returns the index of its first injecting
+// draw, or len(d) when the trial never injects.
+func (d DrawLog) FirstFault(rate float64, seed, lo, hi uint64) int {
+	if rate <= 0 {
+		return len(d)
+	}
+	r := rng.New(seed ^ faultSeedMix)
+	for i, seq := range d {
+		if inWindow(seq, lo, hi) && r.Bool(rate) {
+			return i
+		}
+	}
+	return len(d)
+}
+
+// Drawn counts the injector draws a trial with window [lo, hi) makes over
+// the log's first pos entries.
+func (d DrawLog) Drawn(pos int, lo, hi uint64) uint64 {
+	var n uint64
+	for _, seq := range d[:pos] {
+		if inWindow(seq, lo, hi) {
+			n++
+		}
+	}
+	return n
+}
+
+// reuse copies src into dst (allocated when nil) and returns dst.
+func reuse[T any, P interface {
+	*T
+	CopyFrom(P)
+}](dst, src P) P {
+	if dst == nil {
+		dst = P(new(T))
+	}
+	dst.CopyFrom(src)
+	return dst
 }
 
 // deepClone returns a fully independent copy of the engine.
 func (e *Engine) deepClone() *Engine {
-	c := *e
-	c.gen = e.gen.(trace.CloneSource).CloneSource()
-	c.pred = e.pred.Clone()
-	c.btb = e.btb.Clone()
-	c.pool = e.pool.Clone()
-	if e.checkerPool != nil {
-		c.checkerPool = e.checkerPool.Clone()
-	}
-	c.mem = e.mem.Clone()
-	c.frng = e.frng.Clone()
-	c.w = e.w.clone()
-	c.robM = e.robM.clone()
-	c.robR = e.robR.clone()
-	c.lsq = e.lsq.clone()
-	c.pendingR = e.pendingR.clone()
-	c.meekLog = e.meekLog.clone()
-	c.meekBusy = append([]int64(nil), e.meekBusy...)
-	c.replay = append([]isa.Inst(nil), e.replay...)
-	// Preserve the event heap's preallocated capacity so the clone stays
-	// allocation-free in steady state.
-	c.events = make([]int64, len(e.events), cap(e.events))
-	copy(c.events, e.events)
-	return &c
-}
-
-// clone returns a deep copy of the window.
-func (w *window) clone() window {
-	c := *w
-	c.gen = append([]uint32(nil), w.gen...)
-	c.seq = append([]uint64(nil), w.seq...)
-	c.inst = append([]isa.Inst(nil), w.inst...)
-	c.flags = append([]uint16(nil), w.flags...)
-	c.dispatchedAt = append([]int64(nil), w.dispatchedAt...)
-	c.completeAt = append([]int64(nil), w.completeAt...)
-	c.complete2At = append([]int64(nil), w.complete2At...)
-	c.checkedAt = append([]int64(nil), w.checkedAt...)
-	c.faultAt = append([]int64(nil), w.faultAt...)
-	c.dep1 = append([]ref(nil), w.dep1...)
-	c.dep2 = append([]ref(nil), w.dep2...)
-	c.pair = append([]ref(nil), w.pair...)
-	c.prevWriter = append([]ref(nil), w.prevWriter...)
-	c.fwdStore = append([]ref(nil), w.fwdStore...)
-	c.waitCnt = append([]uint8(nil), w.waitCnt...)
-	c.readyAt = append([]int64(nil), w.readyAt...)
-	c.consumers = append([]uint64(nil), w.consumers...)
-	c.ready = append([]uint64(nil), w.ready...)
-	c.isq[0] = append([]uint64(nil), w.isq[0]...)
-	c.isq[1] = append([]uint64(nil), w.isq[1]...)
+	c := new(Engine)
+	c.copyFrom(e)
 	return c
 }
 
-// clone returns a deep copy of the fifo.
-func (q *idxFifo) clone() idxFifo {
-	c := *q
-	c.buf = append([]int32(nil), q.buf...)
+// copyFrom overwrites e with a deep copy of src, reusing e's buffers
+// wherever they are large enough: restoring a checkpoint into an engine of
+// the same machine and source type allocates nothing, and cloning into the
+// zero Engine allocates each buffer exactly once.
+func (e *Engine) copyFrom(src *Engine) {
+	old := *e
+	*e = *src
+	e.gen = copySource(old.gen, src.gen)
+	e.pred = reuse(old.pred, src.pred)
+	e.btb = reuse(old.btb, src.btb)
+	e.pool = reuse(old.pool, src.pool)
+	if src.checkerPool != nil {
+		e.checkerPool = reuse(old.checkerPool, src.checkerPool)
+	}
+	e.mem = reuse(old.mem, src.mem)
+	e.frng = old.frng
+	if e.frng == nil {
+		e.frng = new(rng.RNG)
+	}
+	*e.frng = *src.frng
+	e.w = old.w
+	e.w.copyFrom(&src.w)
+	e.robM = old.robM.copied(&src.robM)
+	e.robR = old.robR.copied(&src.robR)
+	e.lsq = old.lsq.copied(&src.lsq)
+	e.pendingR = old.pendingR.copied(&src.pendingR)
+	e.meekLog = old.meekLog.copied(&src.meekLog)
+	e.meekBusy = append(old.meekBusy[:0], src.meekBusy...)
+	e.replay = append(old.replay[:0], src.replay...)
+	// Keep the event heap's preallocated capacity so the copy stays
+	// allocation-free in steady state.
+	events := old.events
+	if cap(events) < cap(src.events) {
+		events = make([]int64, 0, cap(src.events))
+	}
+	e.events = append(events[:0], src.events...)
+}
+
+// copySource returns a source continuing src's streams: dst itself,
+// repositioned in place, when both are generators; otherwise a clone.
+func copySource(dst, src trace.Source) trace.Source {
+	if d, ok := dst.(*trace.Generator); ok {
+		if s, ok := src.(*trace.Generator); ok {
+			d.CopyFrom(s)
+			return d
+		}
+	}
+	return src.(trace.CloneSource).CloneSource()
+}
+
+// copyFrom overwrites w with a deep copy of o, reusing w's arrays.
+func (w *window) copyFrom(o *window) {
+	old := *w
+	*w = *o
+	w.gen = append(old.gen[:0], o.gen...)
+	w.seq = append(old.seq[:0], o.seq...)
+	w.inst = append(old.inst[:0], o.inst...)
+	w.flags = append(old.flags[:0], o.flags...)
+	w.dispatchedAt = append(old.dispatchedAt[:0], o.dispatchedAt...)
+	w.completeAt = append(old.completeAt[:0], o.completeAt...)
+	w.complete2At = append(old.complete2At[:0], o.complete2At...)
+	w.checkedAt = append(old.checkedAt[:0], o.checkedAt...)
+	w.faultAt = append(old.faultAt[:0], o.faultAt...)
+	w.dep1 = append(old.dep1[:0], o.dep1...)
+	w.dep2 = append(old.dep2[:0], o.dep2...)
+	w.pair = append(old.pair[:0], o.pair...)
+	w.prevWriter = append(old.prevWriter[:0], o.prevWriter...)
+	w.fwdStore = append(old.fwdStore[:0], o.fwdStore...)
+	w.waitCnt = append(old.waitCnt[:0], o.waitCnt...)
+	w.readyAt = append(old.readyAt[:0], o.readyAt...)
+	w.consumers = append(old.consumers[:0], o.consumers...)
+	w.ready = append(old.ready[:0], o.ready...)
+	w.isq[0] = append(old.isq[0][:0], o.isq[0]...)
+	w.isq[1] = append(old.isq[1][:0], o.isq[1]...)
+}
+
+// copied returns a deep copy of o that reuses q's buffer.
+func (q idxFifo) copied(o *idxFifo) idxFifo {
+	c := *o
+	c.buf = append(q.buf[:0], o.buf...)
 	return c
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -159,5 +160,149 @@ func TestCheckpointFaultReinjection(t *testing.T) {
 	assertSameState(t, "cold faulty vs checkpointed+rearmed", ec, clone)
 	if clone.Stats().FaultsInjected == 0 {
 		t.Error("no faults injected inside the window; test exercised nothing")
+	}
+}
+
+// TestRestoreAllocationFree pins rollback cost: restoring a checkpoint
+// into an engine of the same machine copies into the engine's existing
+// buffers and allocates nothing, in every mode.
+func TestRestoreAllocationFree(t *testing.T) {
+	for _, m := range conformanceMachines() {
+		t.Run(m.Name, func(t *testing.T) {
+			e := New(m, trace.New(memWorkload(5)))
+			runTo(t, e, 3000)
+			cp, err := e.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			runTo(t, e, 6000)
+			if n := testing.AllocsPerRun(5, func() { e.Restore(cp) }); n != 0 {
+				t.Errorf("Restore allocates %.0f times, want 0", n)
+			}
+			if got := e.Stats(); got != cp.Stats() {
+				t.Errorf("restore did not rewind stats: %+v vs %+v", got, cp.Stats())
+			}
+		})
+	}
+}
+
+// maxCheckpointAllocs bounds allocations per Checkpoint: one per engine
+// component and per flat array. Per-set cache or BTB slices would cost
+// thousands.
+const maxCheckpointAllocs = 96
+
+// TestCheckpointAllocationBound keeps checkpoints flat: capturing one
+// costs a bounded number of allocations, independent of cache geometry.
+func TestCheckpointAllocationBound(t *testing.T) {
+	for _, m := range conformanceMachines() {
+		e := New(m, trace.New(memWorkload(5)))
+		runTo(t, e, 3000)
+		n := testing.AllocsPerRun(3, func() {
+			if _, err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > maxCheckpointAllocs {
+			t.Errorf("%s: Checkpoint allocates %.0f times, bound %d", m.Name, n, maxCheckpointAllocs)
+		}
+	}
+}
+
+// TestRetireMarkResumeExact captures an engine from a retire mark in the
+// middle of RunBudget and RunExact runs: the capture, continued with
+// Resume, must finish byte-identical to the uninterrupted run — the run
+// target, ArchSig bound, exact boundary and stall stamps all travel with
+// the checkpoint.
+func TestRetireMarkResumeExact(t *testing.T) {
+	ctx := context.Background()
+	for _, m := range conformanceMachines() {
+		for _, exact := range []bool{false, true} {
+			e := New(m, trace.New(testWorkload(11)))
+			runTo(t, e, 2000)
+			e.ResetStats()
+			var cp *Checkpoint
+			e.SetRetireMark(3000, func() {
+				var err error
+				if cp, err = e.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			run := e.RunBudget
+			if exact {
+				run = e.RunExact
+			}
+			want, err := run(ctx, 8001, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp == nil {
+				t.Fatalf("%s: mark never fired", m.Name)
+			}
+			got, err := cp.NewEngine().Resume(ctx, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s (exact %v): resumed run diverged\n got: %+v\nwant: %+v", m.Name, exact, got, want)
+			}
+		}
+	}
+}
+
+// TestDrawLogPredictsFirstFault checks the draw log against real faulty
+// runs: a trial resumed at a capture before its first injecting draw, its
+// injector advanced by the logged draws, equals the cold trial.
+func TestDrawLogPredictsFirstFault(t *testing.T) {
+	ctx := context.Background()
+	p := memWorkload(19)
+	const warm, n, lo = 3000, 9000, 3600
+	for _, m := range conformanceMachines() {
+		g := New(m, trace.New(p))
+		runTo(t, g, warm)
+		g.ResetStats()
+		var log DrawLog
+		g.RecordDraws(&log)
+		var cp *Checkpoint
+		var pos int
+		g.SetRetireMark(n/2, func() {
+			cp, _ = g.Checkpoint()
+			pos = len(log)
+		})
+		if _, err := g.RunBudget(ctx, n, 0); err != nil {
+			t.Fatal(err)
+		}
+		resumed := 0
+		for seed := uint64(1); seed <= 8; seed++ {
+			first := log.FirstFault(2e-4, seed, lo, 0)
+			if first < pos {
+				continue
+			}
+			resumed++
+			fm := m
+			fm.FaultRate, fm.FaultSeed, fm.FaultWindowLo = 2e-4, seed, lo
+			cold := New(fm, trace.New(p))
+			runTo(t, cold, warm)
+			cold.ResetStats()
+			want, err := cold.RunBudget(ctx, n, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := cp.NewEngine()
+			e.ResumeFaults(2e-4, seed, lo, 0, log.Drawn(pos, lo, 0))
+			got, err := e.Resume(ctx, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s seed %d: resumed trial diverged\n got: %+v\nwant: %+v", m.Name, seed, got, want)
+			}
+			if (first == len(log)) != (want.FaultsInjected == 0) {
+				t.Errorf("%s seed %d: FirstFault %d of %d, cold run injected %d",
+					m.Name, seed, first, len(log), want.FaultsInjected)
+			}
+		}
+		if resumed == 0 {
+			t.Errorf("%s: no seed resumed; the test exercised nothing", m.Name)
+		}
 	}
 }

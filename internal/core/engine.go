@@ -127,13 +127,33 @@ type Engine struct {
 	// fold sequence diverge between golden and trial runs.
 	retireStop uint64
 
-	// sigLimit bounds the ArchSig fold to the first sigLimit retirements
-	// of the current run target (set by RunBudget). The final cycle of a
-	// run may retire up to RetireWidth instructions past the target, and
-	// how many depends on retirement alignment — which faults perturb —
-	// so folding the overshoot would diverge signatures of runs whose
-	// first n retirements are identical.
-	sigLimit uint64
+	// target is the current run's retirement target (set by RunBudget).
+	// It also bounds the ArchSig fold to the first target retirements:
+	// the final cycle of a run may retire up to RetireWidth instructions
+	// past the target, and how many depends on retirement alignment —
+	// which faults perturb — so folding the overshoot would diverge
+	// signatures of runs whose first n retirements are identical.
+	target uint64
+	// lastRetired and lastProgress are the stall detector's stamps and
+	// nextCheck the next cancellation poll. RunBudget sets them when a run
+	// starts; they live on the engine, not in RunBudget's frame, so a
+	// checkpoint taken mid-run resumes with the identical watchdog (see
+	// Resume).
+	lastRetired  uint64
+	lastProgress int64
+	nextCheck    int64
+
+	// markAt and onMark implement SetRetireMark: onMark runs once, at the
+	// end of the run-loop iteration in which the retired count first
+	// reaches markAt. nil when no mark is set.
+	markAt uint64
+	onMark func()
+
+	// draws, when non-nil, records the fetch sequence number of every
+	// correct-path instruction reaching a fault-draw site (see
+	// RecordDraws). nil outside golden-ladder builds, so the hot path pays
+	// one nil check per issue.
+	draws *DrawLog
 
 	stats Stats
 }
@@ -363,7 +383,7 @@ func New(m config.Machine, g trace.Source, opts ...Option) *Engine {
 		btb:      bpred.NewBTB(m.Bpred.BTBSets, m.Bpred.BTBWays),
 		pool:     fu.NewPool(m.FU),
 		mem:      cache.NewHierarchy(m.Mem),
-		frng:     rng.New(m.FaultSeed ^ 0xfa117_5eed),
+		frng:     rng.New(m.FaultSeed ^ faultSeedMix),
 		w:        newWindow(capacity),
 		robM:     newIdxFifo(capacity),
 		robR:     newIdxFifo(capacity),
@@ -481,11 +501,28 @@ var ErrCycleBudget = errors.New("cycle budget exhausted")
 // ErrCycleBudget and the stats accumulated so far. The budget is checked
 // after every step, so a fast-forward may overshoot it by one skip span.
 func (e *Engine) RunBudget(ctx context.Context, n uint64, maxCycles int64) (Stats, error) {
+	e.target = n
+	e.lastRetired = e.stats.Retired
+	e.lastProgress = e.now
+	e.nextCheck = e.now + ctxCheckInterval
+	return e.loop(ctx, maxCycles)
+}
+
+// Resume continues the run a checkpoint interrupted: an engine spawned
+// from a checkpoint captured inside RunBudget or RunExact (by a retire
+// mark) picks the run up exactly where the capture left it — same
+// target, exact boundary, ArchSig bound and stall-detector stamps — so
+// the resumed run is byte-identical to the uninterrupted one.
+func (e *Engine) Resume(ctx context.Context, maxCycles int64) (Stats, error) {
+	st, err := e.loop(ctx, maxCycles)
+	e.retireStop = 0
+	return st, err
+}
+
+// loop is the body of RunBudget: step until the run target retires.
+func (e *Engine) loop(ctx context.Context, maxCycles int64) (Stats, error) {
 	const stallLimit = 1_000_000
-	e.sigLimit = n
-	lastRetired := e.stats.Retired
-	lastProgress := e.now
-	nextCheck := e.now + ctxCheckInterval
+	n := e.target
 	for e.stats.Retired < n {
 		e.step()
 		if e.stopRequest {
@@ -499,10 +536,10 @@ func (e *Engine) RunBudget(ctx context.Context, n uint64, maxCycles int64) (Stat
 			return e.stats, fmt.Errorf("core: %s retired %d of %d within %d cycles: %w",
 				e.cfg.Name, e.stats.Retired, n, maxCycles, ErrCycleBudget)
 		}
-		if e.stats.Retired != lastRetired {
-			lastRetired = e.stats.Retired
-			lastProgress = e.now
-		} else if e.now-lastProgress > stallLimit {
+		if e.stats.Retired != e.lastRetired {
+			e.lastRetired = e.stats.Retired
+			e.lastProgress = e.now
+		} else if e.now-e.lastProgress > stallLimit {
 			if maxCycles > 0 {
 				// Under an active hang budget a retirement-free stretch this
 				// long IS the hang the watchdog exists to classify — at
@@ -515,15 +552,32 @@ func (e *Engine) RunBudget(ctx context.Context, n uint64, maxCycles int64) (Stat
 			return e.stats, fmt.Errorf("core: %s deadlocked at cycle %d (retired %d of %d)",
 				e.cfg.Name, e.now, e.stats.Retired, n)
 		}
-		if e.now >= nextCheck {
-			nextCheck = e.now + ctxCheckInterval
+		if e.now >= e.nextCheck {
+			e.nextCheck = e.now + ctxCheckInterval
 			if err := ctx.Err(); err != nil {
 				return e.stats, fmt.Errorf("core: %s interrupted at cycle %d: %w",
 					e.cfg.Name, e.now, err)
 			}
 		}
+		// Last in the iteration, so a checkpoint the mark takes resumes at
+		// the top of the loop with every stamp already updated.
+		if e.onMark != nil && e.stats.Retired >= e.markAt {
+			fn := e.onMark
+			e.onMark = nil
+			fn()
+		}
 	}
 	return e.stats, nil
+}
+
+// SetRetireMark arranges for fn to run once, between steps of the current
+// or next run, as soon as the retired count (since the last ResetStats)
+// reaches at; fn may set the next mark. A checkpoint fn takes captures the
+// run mid-flight, to be continued with Resume. Golden-ladder builds use
+// marks to capture rungs without stopping the run, which would reset its
+// ArchSig bound and stall stamps. A nil fn clears the mark.
+func (e *Engine) SetRetireMark(at uint64, fn func()) {
+	e.markAt, e.onMark = at, fn
 }
 
 // RunExact is RunBudget with an exact retirement boundary: the run stops

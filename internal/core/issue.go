@@ -100,7 +100,7 @@ func (e *Engine) tryIssueSecond(s int32) bool {
 	w.complete2At[s] = done
 	e.schedule(done)
 	e.progressed = true
-	if e.faultEligible(s) && e.frng.Bool(e.cfg.FaultRate) {
+	if e.drawSite(s) && e.frng.Bool(e.cfg.FaultRate) {
 		if w.flags[s]&fFaulty == 0 {
 			w.faultAt[s] = e.now
 		}
@@ -386,7 +386,7 @@ func checkOp(c isa.OpClass) isa.OpClass {
 // wrong-path fault is architecturally invisible) inside the configured
 // injection window.
 func (e *Engine) injectFault(s int32) {
-	if !e.faultEligible(s) {
+	if !e.drawSite(s) {
 		return
 	}
 	if e.frng.Bool(e.cfg.FaultRate) {
@@ -397,6 +397,17 @@ func (e *Engine) injectFault(s int32) {
 			e.stats.FaultsInjectedUnchecked++
 		}
 	}
+}
+
+// drawSite is the gate of the engine's two fault-draw sites (injectFault
+// and the O3RS second issue): it logs the slot for RecordDraws when it is
+// on the correct path, then reports faultEligible. The log is what lets a
+// golden ladder replay any trial's injector without simulating it.
+func (e *Engine) drawSite(s int32) bool {
+	if e.draws != nil && e.w.flags[s]&fWrongPath == 0 {
+		*e.draws = append(*e.draws, e.w.seq[s])
+	}
+	return e.faultEligible(s)
 }
 
 // faultEligible reports whether the slot is a legal injection site:
@@ -412,11 +423,11 @@ func (e *Engine) faultEligible(s int32) bool {
 	// The bounds apply independently: lo alone gives a half-open window
 	// [lo, ∞) — recovery's re-injection guard bumps lo past a rolled-back
 	// fault even on machines with no upper bound configured.
-	if w.seq[s] < e.cfg.FaultWindowLo {
-		return false
-	}
-	if hi := e.cfg.FaultWindowHi; hi > 0 && w.seq[s] >= hi {
-		return false
-	}
-	return true
+	return inWindow(w.seq[s], e.cfg.FaultWindowLo, e.cfg.FaultWindowHi)
+}
+
+// inWindow reports whether seq lies in the fault window [lo, hi), where
+// hi == 0 leaves the window open above.
+func inWindow(seq, lo, hi uint64) bool {
+	return seq >= lo && (hi == 0 || seq < hi)
 }

@@ -213,10 +213,10 @@ func (e *Engine) finishRetire(s int32) {
 	// PC, opcode, destination, address, and the corruption flags: a faulty
 	// result that escapes to retirement (SS1's silent corruptions) makes
 	// the trial's signature diverge from the fault-free golden run's.
-	// Only the run target's first sigLimit retirements fold: the final
+	// Only the first target retirements of the run fold: the final
 	// cycle may overshoot the target by up to RetireWidth, and the
 	// overshoot depends on retirement alignment rather than architecture.
-	if e.stats.Retired < e.sigLimit {
+	if e.stats.Retired < e.target {
 		in := &w.inst[s]
 		x := in.PC ^ in.Addr<<16 ^
 			uint64(in.Class)<<56 ^ uint64(uint8(in.Dest))<<48

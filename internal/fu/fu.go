@@ -146,14 +146,14 @@ func NewPool(cfg Config) *Pool {
 // Config returns the pool's configuration.
 func (p *Pool) Config() Config { return p.cfg }
 
-// Clone returns a deep copy of the pool, including in-flight unpipelined
-// occupancy and statistics (used by simulation checkpoints).
-func (p *Pool) Clone() *Pool {
-	c := *p
-	for cl := range c.busyUntil {
-		c.busyUntil[cl] = append([]int64(nil), p.busyUntil[cl]...)
+// CopyFrom overwrites p with a deep copy of o, reusing p's unit arrays
+// when they are large enough. p may be the zero Pool.
+func (p *Pool) CopyFrom(o *Pool) {
+	busy := p.busyUntil
+	*p = *o
+	for cl := range p.busyUntil {
+		p.busyUntil[cl] = append(busy[cl][:0], o.busyUntil[cl]...)
 	}
-	return &c
 }
 
 // BeginCycle resets per-cycle issue reservations.

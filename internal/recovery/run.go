@@ -88,19 +88,40 @@ func (t Trace) Detected() uint64 { return t.Rollbacks + t.Overruns + t.Unrecover
 // Fatal is the count of detections recovery could not roll back.
 func (t Trace) Fatal() uint64 { return t.Overruns + t.Unrecoverable }
 
-// ringEntry stamps one retained checkpoint with the stream and clock
+// Capture is one interval checkpoint, stamped with the stream and clock
 // positions rollback decisions need.
-type ringEntry struct {
-	cp *core.Checkpoint
-	// fetchSeq is the next unfetched sequence number at capture: the
+type Capture struct {
+	CP *core.Checkpoint
+	// FetchSeq is the next unfetched sequence number at capture: the
 	// checkpoint is a safe rollback target for any fault injected at
-	// fetchSeq or later (the faulting instruction is not yet in flight in
+	// FetchSeq or later (the faulting instruction is not yet in flight in
 	// the captured state).
-	fetchSeq uint64
-	// cycles/retired are Stats values at capture (the clock rollback
+	FetchSeq uint64
+	// Cycles and Retired are Stats values at capture (the clock rollback
 	// rewinds to).
-	cycles  int64
-	retired uint64
+	Cycles  int64
+	Retired uint64
+}
+
+// Options resumes a run partway and observes its captures. The zero
+// Options starts from scratch with an initial capture.
+//
+// A run can be resumed from any point before its first injected fault,
+// given what it held there: the engine (from a checkpoint of it), the
+// newest Depth interval captures, and the capture count. Golden-ladder
+// trials use this to skip the fault-free prefix of a recovery run.
+type Options struct {
+	// Ring holds the newest captures taken so far, oldest first. Captures
+	// are shared read-only: rollback copies out of them (Restore), so one
+	// ring serves any number of resumed runs.
+	Ring []Capture
+	// Checkpoints is the capture count so far (Trace.Checkpoints).
+	Checkpoints uint64
+	// MidChunk reports that the engine was captured inside an interval's
+	// RunExact (by a retire mark), so the run first Resumes that interval.
+	MidChunk bool
+	// OnCapture, when non-nil, observes every capture the run takes.
+	OnCapture func(Capture)
 }
 
 // Run executes e until n total instructions have retired (counted from the
@@ -118,6 +139,11 @@ type ringEntry struct {
 // recovery observables. Run requires a cloneable instruction source (see
 // core.ErrNoCloneSource) and interval ≥ 1; depth < 1 defaults to 1.
 func Run(ctx context.Context, e *core.Engine, n uint64, maxCycles int64, interval uint64, depth int) (core.Stats, Trace, error) {
+	return RunOpts(ctx, e, n, maxCycles, interval, depth, Options{})
+}
+
+// RunOpts is Run resumed and observed as o describes.
+func RunOpts(ctx context.Context, e *core.Engine, n uint64, maxCycles int64, interval uint64, depth int, o Options) (core.Stats, Trace, error) {
 	if interval == 0 {
 		stats, err := e.RunBudget(ctx, n, maxCycles)
 		return stats, Trace{}, err
@@ -125,7 +151,7 @@ func Run(ctx context.Context, e *core.Engine, n uint64, maxCycles int64, interva
 	if depth < 1 {
 		depth = DefaultDepth
 	}
-	tr := Trace{Interval: interval, Depth: depth}
+	tr := Trace{Interval: interval, Depth: depth, Checkpoints: o.Checkpoints}
 
 	// The hook latches the detection and stops the run (ErrHookStop) so
 	// the rollback decision happens here, outside the engine.
@@ -146,7 +172,8 @@ func Run(ctx context.Context, e *core.Engine, n uint64, maxCycles int64, interva
 	rate, seed := mc.FaultRate, mc.FaultSeed
 	lo, hi := mc.FaultWindowLo, mc.FaultWindowHi
 
-	ring := make([]ringEntry, 0, depth)
+	ring := make([]Capture, 0, depth)
+	ring = append(ring, o.Ring[max(0, len(o.Ring)-depth):]...)
 	capture := func() error {
 		cp, err := e.Checkpoint()
 		if err != nil {
@@ -157,18 +184,24 @@ func Run(ctx context.Context, e *core.Engine, n uint64, maxCycles int64, interva
 			ring = ring[:depth-1]
 		}
 		st := e.Stats()
-		ring = append(ring, ringEntry{cp: cp, fetchSeq: cp.FetchSeq(), cycles: st.Cycles, retired: st.Retired})
+		c := Capture{CP: cp, FetchSeq: cp.FetchSeq(), Cycles: st.Cycles, Retired: st.Retired}
+		ring = append(ring, c)
 		tr.Checkpoints++
+		if o.OnCapture != nil {
+			o.OnCapture(c)
+		}
 		return nil
 	}
 
 	// Initial capture: faults detected inside the first interval need a
 	// rollback target too.
-	if err := capture(); err != nil {
-		return e.Stats(), tr, err
+	if len(ring) == 0 {
+		if err := capture(); err != nil {
+			return e.Stats(), tr, err
+		}
 	}
-	next := e.Stats().Retired + interval
-	for {
+	next := ring[len(ring)-1].Retired + interval
+	for mid := o.MidChunk; ; mid = false {
 		target := min(next, n)
 		budget := maxCycles
 		if maxCycles > 0 {
@@ -181,7 +214,12 @@ func Run(ctx context.Context, e *core.Engine, n uint64, maxCycles int64, interva
 					mc.Name, maxCycles, core.ErrCycleBudget)
 			}
 		}
-		_, err := e.RunExact(ctx, target, budget)
+		var err error
+		if mid {
+			_, err = e.Resume(ctx, budget)
+		} else {
+			_, err = e.RunExact(ctx, target, budget)
+		}
 		if err == nil {
 			if target == n {
 				return e.Stats(), tr, nil
@@ -200,7 +238,7 @@ func Run(ctx context.Context, e *core.Engine, n uint64, maxCycles int64, interva
 		ev := Event{Seq: det.seq, InjectCycle: det.injectAt, DetectCycle: det.detectAt}
 		idx := -1
 		for i := len(ring) - 1; i >= 0; i-- {
-			if ring[i].fetchSeq <= det.seq {
+			if ring[i].FetchSeq <= det.seq {
 				idx = i
 				break
 			}
@@ -210,7 +248,7 @@ func Run(ctx context.Context, e *core.Engine, n uint64, maxCycles int64, interva
 			// with the faulty instruction in flight — drop them.
 			ent := ring[idx]
 			ev.Outcome = OutcomeRecovered
-			ev.LostWork = e.Stats().Cycles - ent.cycles
+			ev.LostWork = e.Stats().Cycles - ent.Cycles
 			tr.Rollbacks++
 			tr.LostWork += ev.LostWork
 			ring = ring[:idx+1]
@@ -218,13 +256,13 @@ func Run(ctx context.Context, e *core.Engine, n uint64, maxCycles int64, interva
 			// + stage histograms), never into the Trace: traces are
 			// deterministic, compared byte-for-byte in tests, and persisted.
 			restore := time.Now()
-			e.Restore(ent.cp)
+			e.Restore(ent.CP)
 			telemetry.ObserveStage(ctx, "recovery_rollback", time.Since(restore))
 			if det.seq+1 > lo {
 				lo = det.seq + 1
 			}
 			e.SetFaultConfig(rate, seed, lo, hi)
-			next = ent.retired + interval
+			next = ent.Retired + interval
 		} else {
 			// No retained checkpoint predates the injection; every retained
 			// capture carried the faulty instruction in flight, so all are

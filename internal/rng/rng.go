@@ -23,16 +23,17 @@ func New(seed uint64) *RNG {
 // Seed resets the generator to the given seed.
 func (r *RNG) Seed(seed uint64) { r.state = seed }
 
-// Clone returns an independent generator that continues r's stream from its
-// current position (used by simulation checkpoints).
-func (r *RNG) Clone() *RNG {
-	c := *r
-	return &c
-}
+// gamma is splitmix64's state increment per draw.
+const gamma = 0x9e3779b97f4a7c15
+
+// Skip advances the generator past n draws in O(1): every Uint64 (and so
+// every Float64, and every Bool with 0 < p < 1) adds gamma to the state
+// and nothing else, so n draws add n*gamma.
+func (r *RNG) Skip(n uint64) { r.state += n * gamma }
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

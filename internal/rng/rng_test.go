@@ -206,6 +206,23 @@ func TestForkDeterministic(t *testing.T) {
 	}
 }
 
+// TestSkipMatchesDraws pins Skip(n) to n consumed draws, including the
+// Bool draws fault injection makes.
+func TestSkipMatchesDraws(t *testing.T) {
+	for _, n := range []uint64{0, 1, 7, 1000} {
+		a, b := New(99), New(99)
+		for i := uint64(0); i < n; i++ {
+			a.Bool(0.3)
+		}
+		b.Skip(n)
+		for i := 0; i < 10; i++ {
+			if x, y := a.Uint64(), b.Uint64(); x != y {
+				t.Fatalf("Skip(%d): draw %d = %#x, want %#x", n, i, y, x)
+			}
+		}
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {

@@ -248,7 +248,13 @@ func (s *Server) registerMetrics() {
 	r.CounterFunc("shrecd_sim_store_errors_total",
 		"Failed persistent-store writes.", s.sims.StoreErrors)
 	r.CounterFunc("shrecd_sim_warmup_shares_total",
-		"Runs that resumed from a shared warmup checkpoint instead of re-warming.", s.sims.WarmupShares)
+		"Runs served from a shared golden checkpoint ladder instead of re-warming.", s.sims.WarmupShares)
+	r.CounterFunc("shrecd_sim_ladder_resumes_total",
+		"Ladder-served runs resumed at a rung past the end of the warmup.", s.sims.LadderResumes)
+	r.CounterFunc("shrecd_sim_clean_shortcuts_total",
+		"Ladder-served runs that never inject a fault, answered without simulating.", s.sims.CleanShortcuts)
+	r.CounterFunc("shrecd_sim_skipped_instructions_total",
+		"Measured instructions ladder-served runs did not re-simulate.", s.sims.SkippedInstrs)
 	r.CounterFunc("shrecd_sim_interval_runs_total",
 		"Runs executed interval-parallel.", s.sims.IntervalRuns)
 	r.CounterFunc("shrecd_sim_recovery_runs_total",
@@ -678,21 +684,24 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	health := map[string]any{
-		"status":         "ok",
-		"uptime_s":       time.Since(s.start).Seconds(),
-		"runs":           s.sims.Runs(),
-		"hits":           s.sims.Hits(),
-		"cache_hits":     s.sims.CacheHits(),
-		"cache_misses":   s.sims.CacheMisses(),
-		"dedup_waits":    s.sims.DedupWaits(),
-		"store_hits":     s.sims.StoreHits(),
-		"store_errors":   s.sims.StoreErrors(),
-		"warmup_shares":  s.sims.WarmupShares(),
-		"interval_runs":  s.sims.IntervalRuns(),
-		"recovery_runs":  s.sims.RecoveryRuns(),
-		"rollbacks":      s.sims.Rollbacks(),
-		"max_concurrent": s.cfg.MaxConcurrent,
-		"shed_requests":  s.shedRequests.Load(),
+		"status":          "ok",
+		"uptime_s":        time.Since(s.start).Seconds(),
+		"runs":            s.sims.Runs(),
+		"hits":            s.sims.Hits(),
+		"cache_hits":      s.sims.CacheHits(),
+		"cache_misses":    s.sims.CacheMisses(),
+		"dedup_waits":     s.sims.DedupWaits(),
+		"store_hits":      s.sims.StoreHits(),
+		"store_errors":    s.sims.StoreErrors(),
+		"warmup_shares":   s.sims.WarmupShares(),
+		"ladder_resumes":  s.sims.LadderResumes(),
+		"clean_shortcuts": s.sims.CleanShortcuts(),
+		"skipped_instrs":  s.sims.SkippedInstrs(),
+		"interval_runs":   s.sims.IntervalRuns(),
+		"recovery_runs":   s.sims.RecoveryRuns(),
+		"rollbacks":       s.sims.Rollbacks(),
+		"max_concurrent":  s.cfg.MaxConcurrent,
+		"shed_requests":   s.shedRequests.Load(),
 	}
 	// Store integrity: a scrape that shows quarantined records climbing
 	// (or compaction stalled) flags a disk going bad before reads fail.

@@ -275,6 +275,7 @@ func TestHealthz(t *testing.T) {
 		`"runs"`, `"hits"`, `"store_errors"`,
 		`"cache_hits"`, `"cache_misses"`, `"dedup_waits"`, `"store_hits"`,
 		`"warmup_shares"`, `"interval_runs"`, `"recovery_runs"`, `"rollbacks"`,
+		`"ladder_resumes"`, `"clean_shortcuts"`, `"skipped_instrs"`,
 	} {
 		if !strings.Contains(w.Body.String(), key) {
 			t.Errorf("healthz missing %s: %s", key, w.Body)
@@ -307,6 +308,9 @@ func TestMetrics(t *testing.T) {
 		"shrecd_sim_store_hits_total 0",
 		"shrecd_sim_store_errors_total 0",
 		"shrecd_sim_warmup_shares_total 0",
+		"shrecd_sim_ladder_resumes_total 0",
+		"shrecd_sim_clean_shortcuts_total 0",
+		"shrecd_sim_skipped_instructions_total 0",
 		"shrecd_sim_interval_runs_total 0",
 		"shrecd_sim_recovery_runs_total 0",
 		"shrecd_sim_rollbacks_total 0",

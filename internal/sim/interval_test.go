@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -143,9 +144,8 @@ func TestSuiteWarmupSharing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if warm.Stats != cold.Stats || warm.Hung != cold.Hung {
-			t.Errorf("seed %d: checkpoint-resumed trial diverged from cold run\nwarm: %+v\ncold: %+v",
-				seed, warm.Stats, cold.Stats)
+		if w, c := resultJSON(t, warm), resultJSON(t, cold); !bytes.Equal(w, c) {
+			t.Errorf("seed %d: checkpoint-resumed trial diverged from cold run\nwarm: %s\ncold: %s", seed, w, c)
 		}
 	}
 	if got := s.WarmupShares(); got != 2 {
@@ -174,8 +174,8 @@ func TestWarmupSharingRefusedWhenWindowOverlaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Stats != cold.Stats {
-		t.Errorf("overlapping-window trial diverged from cold run\ngot:  %+v\ncold: %+v", warm.Stats, cold.Stats)
+	if w, c := resultJSON(t, warm), resultJSON(t, cold); !bytes.Equal(w, c) {
+		t.Errorf("overlapping-window trial diverged from cold run\ngot:  %s\ncold: %s", w, c)
 	}
 	if got := s.WarmupShares(); got != 0 {
 		t.Errorf("WarmupShares = %d, want 0 (window overlaps warmup)", got)

@@ -328,24 +328,28 @@ type Suite struct {
 
 	disk *store.Store // optional cross-process persistence (nil = off)
 
-	// cps caches warmup checkpoints shared across fault-campaign trials:
+	// ladders caches golden checkpoint ladders shared across fault-campaign
+	// trials, most recently used first and at most maxLadders of them:
 	// trials differ only in FaultSeed and window, and fault eligibility
 	// consults the window before drawing randomness, so every trial whose
-	// window starts after the warmup replays one shared checkpoint instead
-	// of re-simulating the warmup (see core.Checkpoint).
-	cpMu sync.Mutex
-	cps  map[string]*cpEntry
+	// window starts after the warmup resumes the fault-free run at the
+	// last rung before its first injection (see ladder.go).
+	ladderMu sync.Mutex
+	ladders  []*ladderEntry
 
-	runs         atomic.Uint64 // underlying simulations actually executed
-	cacheHits    atomic.Uint64 // requests served from the in-memory striped cache
-	cacheMiss    atomic.Uint64 // requests that found neither a result nor an in-flight run
-	dedupWaits   atomic.Uint64 // requests served by joining an in-flight duplicate run
-	storeHits    atomic.Uint64 // cache misses served from the persistent store
-	storeErrs    atomic.Uint64 // failed persistent-store writes (results still served)
-	warmupShares atomic.Uint64 // runs served from a shared warmup checkpoint
-	intervalRuns atomic.Uint64 // executed runs that used the interval-parallel path
-	recoveryRuns atomic.Uint64 // executed runs simulated under checkpoint recovery
-	rollbacks    atomic.Uint64 // total rollbacks across all recovery runs
+	runs           atomic.Uint64 // underlying simulations actually executed
+	cacheHits      atomic.Uint64 // requests served from the in-memory striped cache
+	cacheMiss      atomic.Uint64 // requests that found neither a result nor an in-flight run
+	dedupWaits     atomic.Uint64 // requests served by joining an in-flight duplicate run
+	storeHits      atomic.Uint64 // cache misses served from the persistent store
+	storeErrs      atomic.Uint64 // failed persistent-store writes (results still served)
+	warmupShares   atomic.Uint64 // runs served from a golden ladder (rung 0 or later)
+	ladderResumes  atomic.Uint64 // ladder runs resumed past rung 0
+	cleanShortcuts atomic.Uint64 // ladder runs that never inject, served without an engine
+	skippedInstrs  atomic.Uint64 // measured instructions ladder runs did not re-simulate
+	intervalRuns   atomic.Uint64 // executed runs that used the interval-parallel path
+	recoveryRuns   atomic.Uint64 // executed runs simulated under checkpoint recovery
+	rollbacks      atomic.Uint64 // total rollbacks across all recovery runs
 
 	// stages, when telemetry is attached, holds the sim_stage_seconds{stage}
 	// histogram family. All stage timing rides run boundaries — cache
@@ -354,20 +358,12 @@ type Suite struct {
 	stages *telemetry.HistogramVec
 }
 
-// cpEntry is one warmup checkpoint, built once by the first requester
-// while duplicates wait on the sync.Once.
-type cpEntry struct {
-	once sync.Once
-	cp   *core.Checkpoint
-	err  error
-}
-
 // NewSuite builds a suite with the given options.
 func NewSuite(opt Options) *Suite {
 	if opt.Parallelism <= 0 {
 		opt.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	s := &Suite{opt: opt, sem: make(chan struct{}, opt.Parallelism), cps: make(map[string]*cpEntry)}
+	s := &Suite{opt: opt, sem: make(chan struct{}, opt.Parallelism)}
 	for i := range s.shards {
 		s.shards[i].results = make(map[string]Result)
 		s.shards[i].inflight = make(map[string]*call)
@@ -450,9 +446,22 @@ func (s *Suite) StoreHits() uint64 { return s.storeHits.Load() }
 func (s *Suite) StoreErrors() uint64 { return s.storeErrs.Load() }
 
 // WarmupShares reports how many simulations skipped their warmup by
-// resuming a shared fault-free warmup checkpoint (fault-campaign trials
-// whose injection window starts after the warmup).
+// resuming a shared golden ladder at rung 0 or later (fault-campaign
+// trials whose injection window starts after the warmup).
 func (s *Suite) WarmupShares() uint64 { return s.warmupShares.Load() }
+
+// LadderResumes reports how many ladder-served simulations resumed at a
+// rung past the end of the warmup, skipping part of the measured run.
+func (s *Suite) LadderResumes() uint64 { return s.ladderResumes.Load() }
+
+// CleanShortcuts reports how many ladder-served simulations never inject a
+// fault and took the fault-free run's outcome without simulating.
+func (s *Suite) CleanShortcuts() uint64 { return s.cleanShortcuts.Load() }
+
+// SkippedInstrs reports the measured instructions ladder-served
+// simulations did not re-simulate: the rung's retired count for a resumed
+// run, the whole measured run for a clean shortcut.
+func (s *Suite) SkippedInstrs() uint64 { return s.skippedInstrs.Load() }
 
 // IntervalRuns reports how many executed simulations took the
 // interval-parallel path (Options.Intervals > 1).
@@ -620,17 +629,11 @@ func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, 
 }
 
 // simulate performs one underlying run, routing fault-campaign trials
-// through the shared warmup-checkpoint cache when that is provably
-// equivalent to a cold start, and everything else through RunContext.
+// through the shared golden ladder when that is provably equivalent to a
+// cold start, and everything else through RunContext.
 func (s *Suite) simulate(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, error) {
-	// Sharing is sound only for the classic contiguous path, with a warmup
-	// to share, for machines that inject faults (fault-free runs dedupe on
-	// the result key already), whose window cannot open during the warmup.
-	// FetchSeq runs ahead of the retired count, so the precise bound is
-	// rechecked against the built checkpoint below.
-	if opt.intervalCount() == 1 && opt.WarmupInstrs > 0 &&
-		m.FaultRate > 0 && m.FaultWindowLo >= opt.WarmupInstrs {
-		if res, ok, err := s.runFromWarmup(ctx, m, p, opt); err != nil || ok {
+	if ladderServes(m, opt) {
+		if res, ok, err := s.runFromLadder(ctx, m, p, opt); err != nil || ok {
 			return res, err
 		}
 	}
@@ -638,70 +641,6 @@ func (s *Suite) simulate(ctx context.Context, m config.Machine, p trace.Profile,
 	res, err := RunContext(ctx, m, p, opt)
 	s.observeStage(ctx, "engine_run", run)
 	return res, err
-}
-
-// runFromWarmup serves one fault trial from the shared warmup checkpoint.
-// ok reports whether sharing applied; on ok == false (checkpoint build
-// failed, or its fetch frontier already overlaps the fault window) the
-// caller falls back to a cold run.
-func (s *Suite) runFromWarmup(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, bool, error) {
-	if err := m.Validate(); err != nil {
-		return Result{}, false, fmt.Errorf("sim: %w", err)
-	}
-	// The warmup is fault-free and checkpoint-free regardless of the trial's
-	// injection and recovery settings, and the display name tracks those
-	// settings — zero all three so one warmup checkpoint serves every trial
-	// and every recovery policy over the same base machine.
-	base := m
-	base.Name = ""
-	base.FaultRate, base.FaultSeed = 0, 0
-	base.FaultWindowLo, base.FaultWindowHi = 0, 0
-	base.CkptInterval, base.CkptDepth = 0, 0
-	// v3: the machine hash gained the detection-mode-zoo fields, so v2
-	// checkpoint keys no longer correspond to any current machine.
-	ck := store.Digest("sim.warmup.v3", base, p, opt.WarmupInstrs)
-
-	share := time.Now()
-	s.cpMu.Lock()
-	entry, ok := s.cps[ck]
-	if !ok {
-		entry = &cpEntry{}
-		s.cps[ck] = entry
-	}
-	s.cpMu.Unlock()
-	entry.once.Do(func() {
-		e := core.New(base, trace.New(p))
-		if err := e.WarmupContext(ctx, opt.WarmupInstrs); err != nil {
-			entry.err = err
-			return
-		}
-		entry.cp, entry.err = e.Checkpoint()
-	})
-	if entry.err != nil {
-		// Drop the failed entry (it may have died on this caller's
-		// context) so a later trial rebuilds; this trial runs cold.
-		s.cpMu.Lock()
-		if s.cps[ck] == entry {
-			delete(s.cps, ck)
-		}
-		s.cpMu.Unlock()
-		return Result{}, false, nil
-	}
-	if m.FaultWindowLo < entry.cp.FetchSeq() {
-		return Result{}, false, nil
-	}
-	s.observeStage(ctx, "warmup_share", share)
-
-	run := time.Now()
-	e := entry.cp.NewEngine()
-	e.SetFaultConfig(m.FaultRate, m.FaultSeed, m.FaultWindowLo, m.FaultWindowHi)
-	st, tr, hung, err := measureOrRecover(ctx, e, m, opt.MeasureInstrs, opt.MaxCycles)
-	s.observeStage(ctx, "engine_run", run)
-	if err != nil {
-		return Result{}, false, err
-	}
-	s.warmupShares.Add(1)
-	return newResult(m, p, opt, st, tr, hung), true, nil
 }
 
 // Batch runs every (machine, profile) pair, in parallel, reusing cached

@@ -48,9 +48,13 @@ type Generator struct {
 	phase   int
 	phaseN  int // instructions emitted in the current phase
 
-	// loopLeft tracks remaining taken iterations for the current visit to
-	// each loop block.
-	loopLeft []int
+	// loopLeft is the remaining taken iterations of the loop block being
+	// executed; zero between visits. Loop blocks branch only to
+	// themselves and exit only once their count runs out, so at most one
+	// visit is ever in progress and one counter serves every loop block —
+	// the stream state stays O(1), and clones share the block layout
+	// without copying any per-block array.
+	loopLeft int
 
 	memPos      uint64 // strided-walk position
 	lastLoadSeq uint64
@@ -84,12 +88,10 @@ func New(p Profile) *Generator {
 	r := rng.New(p.Seed)
 	g := &Generator{p: p, r: r}
 	g.buildBlocks()
-	g.loopLeft = make([]int, len(g.blocks))
 	wpProfile := p
 	wpProfile.Seed = p.Seed ^ 0x9e3779b97f4a7c15
 	wp := &Generator{p: wpProfile, r: rng.New(wpProfile.Seed)}
 	wp.buildBlocks()
-	wp.loopLeft = make([]int, len(wp.blocks))
 	g.wp = wp
 	return g
 }
@@ -104,6 +106,12 @@ func (g *Generator) buildBlocks() {
 	// so they are assigned in a second pass.
 	limit := uint64(codeBase) + p.CodeFootprint
 	pc := uint64(codeBase)
+	// Reserve the expected block count (plus slack) up front: appending a
+	// layout of tens of thousands of blocks one by one reallocates it
+	// many times, and for megabyte footprints that garbage is several
+	// times the layout itself.
+	expect := float64(p.CodeFootprint) / (instrBytes * p.AvgBlockLen)
+	g.blocks = make([]block, 0, int(expect*17/16)+8)
 	for pc < limit || len(g.blocks) < 4 {
 		n := g.r.Geometric(p.AvgBlockLen, 4*int(p.AvgBlockLen)+8)
 		if n < 2 {
@@ -194,16 +202,32 @@ func (g *Generator) Seq() uint64 { return g.seq }
 // wrong-path streams from their current positions. The block layout is
 // immutable after construction and is shared; all mutable stream state (RNG,
 // loop trip counts, block cursor, dependency rings) is copied.
-func (g *Generator) CloneSource() Source { return g.clone() }
+func (g *Generator) CloneSource() Source {
+	c := new(Generator)
+	c.CopyFrom(g)
+	return c
+}
 
-func (g *Generator) clone() *Generator {
-	c := *g
-	c.r = g.r.Clone()
-	c.loopLeft = append([]int(nil), g.loopLeft...)
-	if g.wp != nil {
-		c.wp = g.wp.clone()
+// CopyFrom makes g continue o's streams from o's current positions,
+// reusing g's RNG and wrong-path generator, so restoring a checkpoint
+// into a generator allocates nothing. The immutable block layout is
+// shared with o. g may be the zero Generator.
+func (g *Generator) CopyFrom(o *Generator) {
+	r, wp := g.r, g.wp
+	*g = *o
+	if r == nil {
+		r = new(rng.RNG)
 	}
-	return &c
+	*r = *o.r
+	g.r = r
+	g.wp = nil
+	if o.wp != nil {
+		if wp == nil {
+			wp = new(Generator)
+		}
+		wp.CopyFrom(o.wp)
+		g.wp = wp
+	}
 }
 
 // Profile returns the generator's profile.
@@ -423,12 +447,12 @@ func (g *Generator) branchInst(b *block, pc uint64) (isa.Inst, int) {
 			in.Src1 = g.srcFor(ph)
 		}
 		if b.isLoop {
-			if g.loopLeft[g.cur] == 0 {
+			if g.loopLeft == 0 {
 				// Fresh entry: arm the block's fixed trip count.
-				g.loopLeft[g.cur] = b.loopIters
+				g.loopLeft = b.loopIters
 			}
-			g.loopLeft[g.cur]--
-			in.Taken = g.loopLeft[g.cur] > 0
+			g.loopLeft--
+			in.Taken = g.loopLeft > 0
 		} else {
 			in.Taken = g.r.Bool(b.bias)
 		}
