@@ -224,6 +224,12 @@ type ClientMetrics struct {
 	// SkippedInstrs counts measured instructions ladder-served runs did
 	// not re-simulate.
 	SkippedInstrs uint64 `json:"skipped_instrs"`
+	// LadderGoldens counts campaign golden runs served from the fault-free
+	// pass of the ladder their trials resume, not simulated separately.
+	LadderGoldens uint64 `json:"ladder_goldens"`
+	// TapeTailReads counts instructions ladder-served runs read past the
+	// sealed end of their ladder's instruction tape.
+	TapeTailReads uint64 `json:"tape_tail_reads"`
 	// IntervalRuns counts runs executed interval-parallel (Options.Intervals
 	// > 1).
 	IntervalRuns uint64 `json:"interval_runs"`
@@ -400,6 +406,8 @@ func (c *Client) Metrics() ClientMetrics {
 		LadderResumes:  c.sims.LadderResumes(),
 		CleanShortcuts: c.sims.CleanShortcuts(),
 		SkippedInstrs:  c.sims.SkippedInstrs(),
+		LadderGoldens:  c.sims.LadderGoldens(),
+		TapeTailReads:  c.sims.TapeTailReads(),
 		IntervalRuns:   c.sims.IntervalRuns(),
 		RecoveryRuns:   c.sims.RecoveryRuns(),
 		Rollbacks:      c.sims.Rollbacks(),

@@ -301,6 +301,21 @@ func TestClientCampaign(t *testing.T) {
 	if c := res.Counts(); c.SDC != 0 {
 		t.Fatalf("SHREC produced SDC: %+v", c)
 	}
+	// The golden run comes from the fault-free pass of the ladder that
+	// serves all six trials, timed as one ladder_build.
+	m := c.Metrics()
+	if m.LadderGoldens != 1 || m.Runs != 7 || m.WarmupShares != 6 {
+		t.Fatalf("metrics after one campaign: %+v", m)
+	}
+	builds := 0
+	for _, st := range m.Stages {
+		if st.Stage == "ladder_build" {
+			builds = int(st.Count)
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("%d ladder builds timed, want 1", builds)
+	}
 	rep := res.Report()
 	if rep.Name != "campaign" || len(rep.Tables) == 0 {
 		t.Fatalf("bad report: %+v", rep)

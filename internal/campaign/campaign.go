@@ -786,9 +786,10 @@ func (e *Engine) Run(ctx context.Context, spec Spec, progress func(Progress)) (*
 	// the campaign's run lengths. It defines the architectural signature
 	// trials must match and the cycle budget of the hang watchdog. Shared
 	// through the suite, so repeated campaigns (and ordinary experiments
-	// at the same scale) reuse it.
+	// at the same scale) reuse it; on a miss the suite takes it from the
+	// fault-free pass of the golden ladder the trials then resume.
 	goldenStart := time.Now()
-	golden, err := e.sims.GetOpt(ctx, m, p, opt)
+	golden, err := e.sims.Golden(ctx, m, p, opt)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: golden run: %w", err)
 	}

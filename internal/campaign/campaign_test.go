@@ -218,6 +218,54 @@ func TestCampaignResume(t *testing.T) {
 	}
 }
 
+// TestCampaignGoldenFromLadder pins the single fault-free pass: a fresh
+// campaign takes its golden run from the ladder its trials resume, and
+// with the suite's store attached, a fully resumed campaign simulates
+// nothing — its golden run is a store hit, so no ladder is built.
+func TestCampaignGoldenFromLadder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	spec := quickSpec("ss2+s", 8)
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := quickSuite().WithStore(st)
+	first, err := New(sims).WithStore(st).Run(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sims.LadderGoldens() != 1 {
+		t.Errorf("fresh campaign: %d golden runs from a ladder, want 1", sims.LadderGoldens())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	sims = quickSuite().WithStore(st2)
+	second, err := New(sims).WithStore(st2).Run(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Resumed != 8 || second.Executed != 0 {
+		t.Fatalf("resumed campaign: resumed %d, executed %d, want 8/0", second.Resumed, second.Executed)
+	}
+	if sims.Runs() != 0 || sims.LadderGoldens() != 0 || sims.WarmupShares() != 0 {
+		t.Errorf("resumed campaign: %d runs, %d ladder goldens, %d ladder trials; want none",
+			sims.Runs(), sims.LadderGoldens(), sims.WarmupShares())
+	}
+	if sims.StoreHits() != 1 {
+		t.Errorf("resumed campaign: %d store hits, want 1 (the golden run)", sims.StoreHits())
+	}
+	if first.Golden.Stats != second.Golden.Stats {
+		t.Errorf("golden run changed across resume:\n%+v\nvs\n%+v", first.Golden.Stats, second.Golden.Stats)
+	}
+}
+
 // TestCampaignCancellation pins that cancellation surfaces as an error
 // while finished trials persist for resumption.
 func TestCampaignCancellation(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -99,39 +100,75 @@ func (e *Engine) ResumeFaults(rate float64, seed, lo, hi, drawn uint64) {
 // RecordDraws starts (log non-nil) or stops (nil) recording the engine's
 // fault-draw sites into log: the fetch sequence number of every
 // correct-path instruction that reaches a draw, in draw order, whether or
-// not injection is enabled.
-func (e *Engine) RecordDraws(log *DrawLog) { e.draws = log }
+// not injection is enabled. The log is reset and based at the engine's
+// next fetch sequence number; draws of instructions fetched before that
+// are left out, so the log serves windows that open at or after its base.
+func (e *Engine) RecordDraws(log *DrawLog) {
+	if log != nil {
+		*log = DrawLog{base: e.fetchSeq, offs: log.offs[:0]}
+	}
+	e.draws = log
+}
 
 // DrawLog is the fault-draw trace of a fault-free run (RecordDraws). A
-// trial of the same machine injecting at rate r in window [lo, hi) makes
-// one Bool(r) injector draw for each logged seq inside its window, in log
-// order, and is bit-identical to the fault-free run until one of them
-// injects — so the log answers where any trial diverges without
-// simulating it.
-type DrawLog []uint64
+// trial of the same machine injecting at rate r in window [lo, hi), with
+// lo at or after the log's base, makes one Bool(r) injector draw for each
+// logged seq inside its window, in log order, and is bit-identical to the
+// fault-free run until one of them injects — so the log answers where any
+// trial diverges without simulating it.
+//
+// Each draw is kept as a 4-byte offset from the base. Offsets wrap past
+// 2^32 fetch sequence numbers, so a log must not span more than that:
+// callers bound the recorded run's length.
+type DrawLog struct {
+	base uint64
+	offs []uint32
+}
+
+// add logs the draw site of the instruction fetched at seq.
+func (d *DrawLog) add(seq uint64) {
+	if seq >= d.base {
+		d.offs = append(d.offs, uint32(seq-d.base))
+	}
+}
+
+// Len returns the number of logged draws.
+func (d *DrawLog) Len() int { return len(d.offs) }
+
+// window converts a fault window [lo, hi) (hi == 0: unbounded) into
+// offsets from the base: draw offset o is inside it when lo <= o < hi.
+func (d *DrawLog) window(lo, hi uint64) (uint64, uint64) {
+	lo -= min(lo, d.base)
+	if hi == 0 {
+		return lo, math.MaxUint64
+	}
+	return lo, hi - min(hi, d.base)
+}
 
 // FirstFault replays the injector of a trial with the given fault
 // configuration over the log and returns the index of its first injecting
-// draw, or len(d) when the trial never injects.
-func (d DrawLog) FirstFault(rate float64, seed, lo, hi uint64) int {
+// draw, or Len() when the trial never injects.
+func (d *DrawLog) FirstFault(rate float64, seed, lo, hi uint64) int {
 	if rate <= 0 {
-		return len(d)
+		return len(d.offs)
 	}
+	lo, hi = d.window(lo, hi)
 	r := rng.New(seed ^ faultSeedMix)
-	for i, seq := range d {
-		if inWindow(seq, lo, hi) && r.Bool(rate) {
+	for i, off := range d.offs {
+		if o := uint64(off); o >= lo && o < hi && r.Bool(rate) {
 			return i
 		}
 	}
-	return len(d)
+	return len(d.offs)
 }
 
 // Drawn counts the injector draws a trial with window [lo, hi) makes over
 // the log's first pos entries.
-func (d DrawLog) Drawn(pos int, lo, hi uint64) uint64 {
+func (d *DrawLog) Drawn(pos int, lo, hi uint64) uint64 {
+	lo, hi = d.window(lo, hi)
 	var n uint64
-	for _, seq := range d[:pos] {
-		if inWindow(seq, lo, hi) {
+	for _, off := range d.offs[:pos] {
+		if o := uint64(off); o >= lo && o < hi {
 			n++
 		}
 	}
@@ -196,10 +233,17 @@ func (e *Engine) copyFrom(src *Engine) {
 }
 
 // copySource returns a source continuing src's streams: dst itself,
-// repositioned in place, when both are generators; otherwise a clone.
+// repositioned in place, when both are generators or both tape cursors;
+// otherwise a clone.
 func copySource(dst, src trace.Source) trace.Source {
-	if d, ok := dst.(*trace.Generator); ok {
-		if s, ok := src.(*trace.Generator); ok {
+	switch s := src.(type) {
+	case *trace.Generator:
+		if d, ok := dst.(*trace.Generator); ok {
+			d.CopyFrom(s)
+			return d
+		}
+	case *trace.TapeCursor:
+		if d, ok := dst.(*trace.TapeCursor); ok {
 			d.CopyFrom(s)
 			return d
 		}

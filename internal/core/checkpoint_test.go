@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -165,8 +166,18 @@ func TestCheckpointFaultReinjection(t *testing.T) {
 
 // TestRestoreAllocationFree pins rollback cost: restoring a checkpoint
 // into an engine of the same machine copies into the engine's existing
-// buffers and allocates nothing, in every mode.
+// buffers and allocates nothing, in every mode — over a generator, and
+// over a tape cursor before and past the tape's sealed end.
 func TestRestoreAllocationFree(t *testing.T) {
+	restore := func(t *testing.T, e *Engine, cp *Checkpoint) {
+		t.Helper()
+		if n := testing.AllocsPerRun(5, func() { e.Restore(cp) }); n != 0 {
+			t.Errorf("Restore allocates %.0f times, want 0", n)
+		}
+		if got := e.Stats(); got != cp.Stats() {
+			t.Errorf("restore did not rewind stats: %+v vs %+v", got, cp.Stats())
+		}
+	}
 	for _, m := range conformanceMachines() {
 		t.Run(m.Name, func(t *testing.T) {
 			e := New(m, trace.New(memWorkload(5)))
@@ -176,12 +187,35 @@ func TestRestoreAllocationFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			runTo(t, e, 6000)
-			if n := testing.AllocsPerRun(5, func() { e.Restore(cp) }); n != 0 {
-				t.Errorf("Restore allocates %.0f times, want 0", n)
+			restore(t, e, cp)
+		})
+		t.Run(m.Name+"/tape", func(t *testing.T) {
+			g := trace.New(memWorkload(5))
+			e := New(m, g)
+			runTo(t, e, 2000)
+			tape := trace.NewTape(g, 0)
+			e.SetSource(tape.Cursor())
+			runTo(t, e, 3000)
+			onTape, err := e.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := e.Stats(); got != cp.Stats() {
-				t.Errorf("restore did not rewind stats: %+v vs %+v", got, cp.Stats())
+			runTo(t, e, 4000)
+			tape.Seal()
+			// Past the sealed end the cursor continues from its own
+			// generator copy; a checkpoint there carries one too.
+			runTo(t, e, 6000)
+			if e.Source().(*trace.TapeCursor).TakeTailReads() == 0 {
+				t.Fatal("the run never read past the sealed end")
 			}
+			pastEnd, err := e.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			runTo(t, e, 7000)
+			restore(t, e, onTape)
+			restore(t, e, pastEnd)
+			restore(t, e, onTape)
 		})
 	}
 }
@@ -262,11 +296,14 @@ func TestDrawLogPredictsFirstFault(t *testing.T) {
 		g.ResetStats()
 		var log DrawLog
 		g.RecordDraws(&log)
+		if log.base > lo {
+			t.Fatalf("%s: draw log based at %d, after the window start %d", m.Name, log.base, lo)
+		}
 		var cp *Checkpoint
 		var pos int
 		g.SetRetireMark(n/2, func() {
 			cp, _ = g.Checkpoint()
-			pos = len(log)
+			pos = log.Len()
 		})
 		if _, err := g.RunBudget(ctx, n, 0); err != nil {
 			t.Fatal(err)
@@ -296,13 +333,71 @@ func TestDrawLogPredictsFirstFault(t *testing.T) {
 			if got != want {
 				t.Errorf("%s seed %d: resumed trial diverged\n got: %+v\nwant: %+v", m.Name, seed, got, want)
 			}
-			if (first == len(log)) != (want.FaultsInjected == 0) {
+			if (first == log.Len()) != (want.FaultsInjected == 0) {
 				t.Errorf("%s seed %d: FirstFault %d of %d, cold run injected %d",
-					m.Name, seed, first, len(log), want.FaultsInjected)
+					m.Name, seed, first, log.Len(), want.FaultsInjected)
 			}
 		}
 		if resumed == 0 {
 			t.Errorf("%s: no seed resumed; the test exercised nothing", m.Name)
+		}
+	}
+}
+
+// TestDrawLogOffsets pins the offset encoding against absolute sequence
+// numbers: a log based far past 2^32, holding draws from before its base
+// too, answers FirstFault and Drawn exactly as a scan of the absolute
+// draws it kept.
+func TestDrawLogOffsets(t *testing.T) {
+	const base = 5<<32 + 12345
+	r := rng.New(7)
+	var seqs []uint64
+	for seq := uint64(base - 200); seq < base+50_000; seq += uint64(r.Intn(3)) {
+		seqs = append(seqs, seq)
+	}
+	d := DrawLog{base: base}
+	var kept []uint64
+	for _, seq := range seqs {
+		d.add(seq)
+		if seq >= base {
+			kept = append(kept, seq)
+		}
+	}
+	if d.Len() != len(kept) {
+		t.Fatalf("log holds %d draws, want %d", d.Len(), len(kept))
+	}
+	first := func(rate float64, seed, lo, hi uint64) int {
+		fr := rng.New(seed ^ faultSeedMix)
+		for i, seq := range kept {
+			if inWindow(seq, lo, hi) && fr.Bool(rate) {
+				return i
+			}
+		}
+		return len(kept)
+	}
+	drawn := func(pos int, lo, hi uint64) uint64 {
+		var n uint64
+		for _, seq := range kept[:pos] {
+			if inWindow(seq, lo, hi) {
+				n++
+			}
+		}
+		return n
+	}
+	for trial := 0; trial < 200; trial++ {
+		lo := base + uint64(r.Intn(60_000))
+		var hi uint64
+		if trial%3 != 0 {
+			hi = lo + uint64(r.Intn(30_000))
+		}
+		rate := []float64{1e-4, 1e-3, 0.02}[trial%3]
+		seed := r.Uint64()
+		if got, want := d.FirstFault(rate, seed, lo, hi), first(rate, seed, lo, hi); got != want {
+			t.Errorf("FirstFault(%g, %d, %d, %d) = %d, want %d", rate, seed, lo, hi, got, want)
+		}
+		pos := r.Intn(len(kept) + 1)
+		if got, want := d.Drawn(pos, lo, hi), drawn(pos, lo, hi); got != want {
+			t.Errorf("Drawn(%d, %d, %d) = %d, want %d", pos, lo, hi, got, want)
 		}
 	}
 }

@@ -151,8 +151,8 @@ type Engine struct {
 
 	// draws, when non-nil, records the fetch sequence number of every
 	// correct-path instruction reaching a fault-draw site (see
-	// RecordDraws). nil outside golden-ladder builds, so the hot path pays
-	// one nil check per issue.
+	// RecordDraws), as an offset from the log's base. nil outside
+	// golden-ladder builds, so the hot path pays one nil check per issue.
 	draws *DrawLog
 
 	stats Stats
@@ -412,6 +412,15 @@ func New(m config.Machine, g trace.Source, opts ...Option) *Engine {
 
 // Config returns the engine's machine configuration.
 func (e *Engine) Config() config.Machine { return e.cfg }
+
+// Source returns the engine's instruction source.
+func (e *Engine) Source() trace.Source { return e.gen }
+
+// SetSource replaces the engine's instruction source with src, which must
+// continue the current source's streams exactly — the cursor of a
+// trace.Tape recording from the engine's generator, say. Nothing else
+// changes, so the run continues bit-identically.
+func (e *Engine) SetSource(src trace.Source) { e.gen = src }
 
 // Mem exposes the memory hierarchy for statistics.
 func (e *Engine) Mem() *cache.Hierarchy { return e.mem }

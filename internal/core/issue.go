@@ -405,7 +405,7 @@ func (e *Engine) injectFault(s int32) {
 // golden ladder replay any trial's injector without simulating it.
 func (e *Engine) drawSite(s int32) bool {
 	if e.draws != nil && e.w.flags[s]&fWrongPath == 0 {
-		*e.draws = append(*e.draws, e.w.seq[s])
+		e.draws.add(e.w.seq[s])
 	}
 	return e.faultEligible(s)
 }

@@ -255,6 +255,10 @@ func (s *Server) registerMetrics() {
 		"Ladder-served runs that never inject a fault, answered without simulating.", s.sims.CleanShortcuts)
 	r.CounterFunc("shrecd_sim_skipped_instructions_total",
 		"Measured instructions ladder-served runs did not re-simulate.", s.sims.SkippedInstrs)
+	r.CounterFunc("shrecd_sim_ladder_goldens_total",
+		"Campaign golden runs served from a ladder's fault-free pass.", s.sims.LadderGoldens)
+	r.CounterFunc("shrecd_sim_tape_tail_reads_total",
+		"Instructions ladder-served runs read past their tape's sealed end.", s.sims.TapeTailReads)
 	r.CounterFunc("shrecd_sim_interval_runs_total",
 		"Runs executed interval-parallel.", s.sims.IntervalRuns)
 	r.CounterFunc("shrecd_sim_recovery_runs_total",
@@ -697,6 +701,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"ladder_resumes":  s.sims.LadderResumes(),
 		"clean_shortcuts": s.sims.CleanShortcuts(),
 		"skipped_instrs":  s.sims.SkippedInstrs(),
+		"ladder_goldens":  s.sims.LadderGoldens(),
+		"tape_tail_reads": s.sims.TapeTailReads(),
 		"interval_runs":   s.sims.IntervalRuns(),
 		"recovery_runs":   s.sims.RecoveryRuns(),
 		"rollbacks":       s.sims.Rollbacks(),

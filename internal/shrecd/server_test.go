@@ -276,6 +276,7 @@ func TestHealthz(t *testing.T) {
 		`"cache_hits"`, `"cache_misses"`, `"dedup_waits"`, `"store_hits"`,
 		`"warmup_shares"`, `"interval_runs"`, `"recovery_runs"`, `"rollbacks"`,
 		`"ladder_resumes"`, `"clean_shortcuts"`, `"skipped_instrs"`,
+		`"ladder_goldens"`, `"tape_tail_reads"`,
 	} {
 		if !strings.Contains(w.Body.String(), key) {
 			t.Errorf("healthz missing %s: %s", key, w.Body)
@@ -311,6 +312,8 @@ func TestMetrics(t *testing.T) {
 		"shrecd_sim_ladder_resumes_total 0",
 		"shrecd_sim_clean_shortcuts_total 0",
 		"shrecd_sim_skipped_instructions_total 0",
+		"shrecd_sim_ladder_goldens_total 0",
+		"shrecd_sim_tape_tail_reads_total 0",
 		"shrecd_sim_interval_runs_total 0",
 		"shrecd_sim_recovery_runs_total 0",
 		"shrecd_sim_rollbacks_total 0",

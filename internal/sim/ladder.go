@@ -40,11 +40,18 @@ type ladder struct {
 	// draws logs every correct-path fault-draw site of the measured run
 	// (core.RecordDraws), which is where any trial's injector draws.
 	draws core.DrawLog
+	// tape records the instruction streams the fault-free run fetched
+	// after the warmup; rungs and trials read it through cursors.
+	tape *trace.Tape
 	// final and trace are the fault-free run's outcome.
 	final core.Stats
 	trace *recovery.Trace
-	// engines holds finished trial engines for reuse.
-	engines sync.Pool
+	// engines holds finished trial engines for reuse, at most one per
+	// simulation the suite runs at once. A free list owned by the ladder,
+	// not a sync.Pool: pooled engines stay reachable from the runtime for
+	// up to two collections after their ladder is dropped, so back-to-back
+	// campaigns kept their predecessors' engines live.
+	engines chan *core.Engine
 }
 
 // rung is one checkpoint of the fault-free run.
@@ -83,19 +90,31 @@ func ladderBase(m config.Machine) config.Machine {
 	return base
 }
 
-// ladderServes reports whether fault trials of m may share a ladder.
-// Sharing is sound only for the classic contiguous path, with a warmup to
-// share, for machines that inject faults (fault-free runs dedupe on the
-// result key already), whose window cannot open during the warmup.
-// FetchSeq runs ahead of the retired count, so the precise bound is
-// rechecked against the built ladder's rung 0.
+// maxLadderInstrs bounds the measured run a ladder covers, so the draw
+// log's 32-bit offsets from rung 0's fetch sequence number cannot wrap:
+// fetch runs at most a window of instructions — far below 2^31 — ahead of
+// retirement. Longer runs go cold.
+const maxLadderInstrs = 1 << 31
+
+// ladderApplies reports whether runs at opt may share a ladder: the
+// classic contiguous path, with a warmup to share and a measured run the
+// draw log can span.
+func ladderApplies(opt Options) bool {
+	return opt.intervalCount() == 1 && opt.WarmupInstrs > 0 && opt.MeasureInstrs <= maxLadderInstrs
+}
+
+// ladderServes reports whether fault trials of m may share a ladder:
+// machines that inject faults (fault-free runs dedupe on the result key
+// already), whose window cannot open during the warmup. FetchSeq runs
+// ahead of the retired count, so the precise bound is rechecked against
+// the built ladder's rung 0.
 func ladderServes(m config.Machine, opt Options) bool {
-	return opt.intervalCount() == 1 && opt.WarmupInstrs > 0 &&
-		m.FaultRate > 0 && m.FaultWindowLo >= opt.WarmupInstrs
+	return ladderApplies(opt) && m.FaultRate > 0 && m.FaultWindowLo >= opt.WarmupInstrs
 }
 
 // ladderFor returns the cached ladder for m's fault-free run, building it
-// on first use. Only the maxLadders most recently used ladders stay
+// on first use (timed as stage ladder_build; a run served by an existing
+// or in-flight build is timed as warmup_share). Only the maxLadders most recently used ladders stay
 // cached; a failed build is dropped so a later trial retries it.
 func (s *Suite) ladderFor(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (*ladder, error) {
 	base := ladderBase(m)
@@ -121,9 +140,20 @@ func (s *Suite) ladderFor(ctx context.Context, m config.Machine, p trace.Profile
 	}
 	s.ladderMu.Unlock()
 
+	start := time.Now()
+	built := false
 	entry.once.Do(func() {
-		entry.l, entry.err = buildLadder(ctx, base, p, opt, m.CkptInterval, m.CkptDepth)
+		built = true
+		entry.l, entry.err = buildLadder(ctx, base, p, opt, m.CkptInterval, m.CkptDepth, cap(s.sem))
 	})
+	// The fault-free pass is one stage whichever run triggers it; a run
+	// that found the ladder built, or waited on another's build, shares
+	// it.
+	if built {
+		s.observeStage(ctx, "ladder_build", start)
+	} else {
+		s.observeStage(ctx, "warmup_share", start)
+	}
 	if entry.err != nil {
 		s.ladderMu.Lock()
 		for i, en := range s.ladders {
@@ -142,15 +172,24 @@ func (s *Suite) ladderFor(ctx context.Context, m config.Machine, p trace.Profile
 // the run: rung 0 before the measured run starts, the rest from retire
 // marks inside it. A checkpointing machine runs under the same recovery
 // driver as its trials, and the newest interval capture before each mark
-// is a rung too.
-func buildLadder(ctx context.Context, base config.Machine, p trace.Profile, opt Options, interval uint64, depth int) (*ladder, error) {
-	e := core.New(base, trace.New(p))
+// is a rung too. From the end of the warmup the engine reads through a
+// cursor that records the generator's streams onto the ladder's tape,
+// sealed when the run ends.
+func buildLadder(ctx context.Context, base config.Machine, p trace.Profile, opt Options, interval uint64, depth, spares int) (*ladder, error) {
+	g := trace.New(p)
+	e := core.New(base, g)
 	if err := e.WarmupContext(ctx, opt.WarmupInstrs); err != nil {
 		return nil, err
 	}
-	l := &ladder{}
-	e.RecordDraws(&l.draws)
 	n := opt.MeasureInstrs
+	// The run fetches its measured instructions, less those in flight at
+	// the warmup's end, plus those in flight at its own end.
+	l := &ladder{
+		tape:    trace.NewTape(g, int(n)+base.ROBSize+tapeSlack),
+		engines: make(chan *core.Engine, spares),
+	}
+	e.SetSource(l.tape.Cursor())
+	e.RecordDraws(&l.draws)
 
 	// The recovery runner's ring and capture count, mirrored through
 	// OnCapture; capPos is the draws position of the newest capture and
@@ -173,7 +212,7 @@ func buildLadder(ctx context.Context, base config.Machine, p trace.Profile, opt 
 				ring: ring, checkpoints: captures})
 			rungCaps = captures
 		}
-		l.rungs = append(l.rungs, rung{cp: cp, pos: len(l.draws), mid: true,
+		l.rungs = append(l.rungs, rung{cp: cp, pos: l.draws.Len(), mid: true,
 			ring: ring, checkpoints: captures})
 		if q++; q < ladderQuarters {
 			e.SetRetireMark(n*q/ladderQuarters, mark)
@@ -201,7 +240,7 @@ func buildLadder(ctx context.Context, base config.Machine, p trace.Profile, opt 
 			// Copy on write: rungs hold earlier ring snapshots.
 			keep := ring[max(0, len(ring)-depth+1):]
 			ring = append(append(make([]recovery.Capture, 0, depth), keep...), c)
-			capPos = len(l.draws)
+			capPos = l.draws.Len()
 			if len(l.rungs) == 0 {
 				l.rungs = append(l.rungs, rung{cp: c.CP, ring: ring, checkpoints: captures})
 				rungCaps = captures
@@ -216,7 +255,41 @@ func buildLadder(ctx context.Context, base config.Machine, p trace.Profile, opt 
 	if markErr != nil {
 		return nil, markErr
 	}
+	l.tape.Seal()
 	return l, nil
+}
+
+// tapeSlack pads the tape's reserved correct-path length past a full
+// window of in-flight instructions, for the fetch buffer and the final
+// cycle's retirement overshoot.
+const tapeSlack = 64
+
+// result is the ladder's fault-free run as m's Result at opt.
+func (l *ladder) result(m config.Machine, p trace.Profile, opt Options) Result {
+	var tr *recovery.Trace
+	if l.trace != nil {
+		t := *l.trace // a fault-free trace logs no events to share
+		tr = &t
+	}
+	return newResult(m, p, opt, l.final, tr, false)
+}
+
+// goldenFromLadder serves the fault-free run of m, whose fault trials
+// share a ladder, from that ladder's pass — building the ladder if no
+// trial has yet — so a campaign simulates its fault-free run once. ok is
+// false when the ladder cannot stand in for m's run: m injects faults or
+// is invalid, opt's cycle budget cuts the run short, or the build failed
+// (the cold run that follows reports why).
+func (s *Suite) goldenFromLadder(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, bool) {
+	if m.FaultRate > 0 || m.Validate() != nil {
+		return Result{}, false
+	}
+	l, err := s.ladderFor(ctx, m, p, opt)
+	if err != nil || (opt.MaxCycles > 0 && l.final.Cycles > opt.MaxCycles) {
+		return Result{}, false
+	}
+	s.ladderGoldens.Add(1)
+	return l.result(m, p, opt), true
 }
 
 // runFromLadder serves one fault trial from the golden ladder of its
@@ -235,7 +308,6 @@ func (s *Suite) runFromLadder(ctx context.Context, m config.Machine, p trace.Pro
 	if err := m.Validate(); err != nil {
 		return Result{}, false, fmt.Errorf("sim: %w", err)
 	}
-	share := time.Now()
 	l, err := s.ladderFor(ctx, m, p, opt)
 	if err != nil {
 		// The build may have died on this caller's context; the trial runs
@@ -245,21 +317,15 @@ func (s *Suite) runFromLadder(ctx context.Context, m config.Machine, p trace.Pro
 	if m.FaultWindowLo < l.rungs[0].cp.FetchSeq() {
 		return Result{}, false, nil
 	}
-	s.observeStage(ctx, "warmup_share", share)
 
 	lo, hi := m.FaultWindowLo, m.FaultWindowHi
 	first := l.draws.FirstFault(m.FaultRate, m.FaultSeed, lo, hi)
 	whole := opt.MaxCycles <= 0 || l.final.Cycles <= opt.MaxCycles
-	if first == len(l.draws) && whole {
+	if first == l.draws.Len() && whole {
 		s.warmupShares.Add(1)
 		s.cleanShortcuts.Add(1)
 		s.skippedInstrs.Add(l.final.Retired)
-		var tr *recovery.Trace
-		if l.trace != nil {
-			t := *l.trace // a fault-free trace logs no events to share
-			tr = &t
-		}
-		return newResult(m, p, opt, l.final, tr, false), true, nil
+		return l.result(m, p, opt), true, nil
 	}
 	r := l.rungs[0]
 	if whole {
@@ -274,13 +340,19 @@ func (s *Suite) runFromLadder(ctx context.Context, m config.Machine, p trace.Pro
 	run := time.Now()
 	// Trial engines recycle through the ladder: Restore copies a rung into
 	// a finished trial's buffers without allocating.
-	e, _ := l.engines.Get().(*core.Engine)
-	if e == nil {
-		e = r.cp.NewEngine()
-	} else {
+	var e *core.Engine
+	select {
+	case e = <-l.engines:
 		e.Restore(r.cp)
+	default:
+		e = r.cp.NewEngine()
 	}
-	defer l.engines.Put(e)
+	defer func() {
+		select {
+		case l.engines <- e:
+		default:
+		}
+	}()
 	e.ResumeFaults(m.FaultRate, m.FaultSeed, lo, hi, l.draws.Drawn(r.pos, lo, hi))
 	var st core.Stats
 	var tr *recovery.Trace
@@ -297,6 +369,7 @@ func (s *Suite) runFromLadder(ctx context.Context, m config.Machine, p trace.Pro
 		tr = &t
 	}
 	s.observeStage(ctx, "engine_run", run)
+	s.tapeTailReads.Add(e.Source().(*trace.TapeCursor).TakeTailReads())
 	hung := false
 	if err != nil {
 		if !errors.Is(err, core.ErrCycleBudget) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/recovery"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -74,7 +75,8 @@ func checkLadderTrial(t *testing.T, s *Suite, m config.Machine, p trace.Profile,
 // every mode, several seeds and windows that open at the measure start,
 // mid-measure, and close before its end, each ladder-served trial equals
 // its cold run byte for byte, and the ladder really skips work — some
-// trials resume past rung 0 and some never inject.
+// trials resume past rung 0 and some never inject — and trials read past
+// the end of the ladder's instruction tape.
 func TestLadderMatchesColdRuns(t *testing.T) {
 	p, err := workload.ByName("parser")
 	if err != nil {
@@ -83,7 +85,7 @@ func TestLadderMatchesColdRuns(t *testing.T) {
 	opt := Options{WarmupInstrs: 3000, MeasureInstrs: 8000, Parallelism: 1}
 	const lo0 = 3000 + 512 // past the warmup's fetch frontier
 	windows := [][2]uint64{{lo0, 0}, {6000, 0}, {lo0, 9000}, {7000, 10000}}
-	var clean uint64
+	var clean, tail uint64
 	for _, m := range ladderMachines() {
 		t.Run(m.Name, func(t *testing.T) {
 			s := NewSuite(opt)
@@ -102,10 +104,14 @@ func TestLadderMatchesColdRuns(t *testing.T) {
 					s.LadderResumes(), s.SkippedInstrs())
 			}
 			clean += s.CleanShortcuts()
+			tail += s.TapeTailReads()
 		})
 	}
 	if clean == 0 {
 		t.Error("no trial took the clean shortcut")
+	}
+	if tail == 0 {
+		t.Error("no trial read past its tape's sealed end")
 	}
 }
 
@@ -304,6 +310,103 @@ func TestLadderConcurrentTrials(t *testing.T) {
 			}
 			if s.WarmupShares() != trials {
 				t.Errorf("WarmupShares = %d, want %d", s.WarmupShares(), trials)
+			}
+		})
+	}
+}
+
+// TestLadderGoldenMatchesColdRuns pins the golden run served from a
+// ladder's fault-free pass: across every mode, and under a checkpoint
+// recovery policy, Golden's Result equals RunContext's byte for byte, is
+// one counted run, and leaves its ladder to the trials — a trial over
+// the same run builds no second one, and a repeated Golden is a cache
+// hit.
+func TestLadderGoldenMatchesColdRuns(t *testing.T) {
+	p, err := workload.ByName("parser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := recovery.ParseMode("ckpt@1500+depth2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines := ladderMachines()
+	machines = append(machines, pol.Apply(config.SHREC()), pol.Apply(config.MEEK(2)))
+	opt := Options{WarmupInstrs: 3000, MeasureInstrs: 8000, Parallelism: 1}
+	ctx := context.Background()
+	for _, m := range machines {
+		t.Run(m.Name, func(t *testing.T) {
+			s := NewSuite(opt)
+			got, err := s.Golden(ctx, m, p, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RunContext(ctx, m, p, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := resultJSON(t, got), resultJSON(t, want); !bytes.Equal(g, w) {
+				t.Fatalf("ladder golden diverged from cold run\nladder: %s\ncold:   %s", g, w)
+			}
+			if s.LadderGoldens() != 1 || s.Runs() != 1 {
+				t.Errorf("LadderGoldens %d, Runs %d; want 1, 1", s.LadderGoldens(), s.Runs())
+			}
+			checkLadderTrial(t, s, trialMachine(m, 3e-4, 1, 3000+512, 0), p, opt)
+			if n := len(s.ladders); n != 1 {
+				t.Errorf("golden and trial hold %d ladders, want 1", n)
+			}
+			again, err := s.Golden(ctx, m, p, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(resultJSON(t, again), resultJSON(t, got)) || s.CacheHits() != 1 || s.LadderGoldens() != 1 {
+				t.Errorf("repeated golden: cache hits %d, ladder goldens %d", s.CacheHits(), s.LadderGoldens())
+			}
+		})
+	}
+}
+
+// TestLadderGoldenFallsBack pins the cases a ladder cannot stand in for:
+// a machine that injects faults itself, no warmup to share,
+// interval-parallel runs, and a cycle budget the fault-free run exceeds.
+// Each Golden equals RunContext and builds no ladder.
+func TestLadderGoldenFallsBack(t *testing.T) {
+	p, err := workload.ByName("parser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Options{WarmupInstrs: 3000, MeasureInstrs: 8000, Parallelism: 1}
+	noWarm, split, tight := base, base, base
+	noWarm.WarmupInstrs = 0
+	split.Intervals = 2
+	tight.MaxCycles = 500
+	cases := []struct {
+		name string
+		m    config.Machine
+		opt  Options
+	}{
+		{"faulty", config.SHREC().WithFaultRate(1e-3), base},
+		{"no-warmup", config.SHREC(), noWarm},
+		{"intervals", config.SHREC(), split},
+		{"budget", config.SHREC(), tight},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewSuite(c.opt)
+			got, err := s.Golden(ctx, c.m, p, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RunContext(ctx, c.m, p, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := resultJSON(t, got), resultJSON(t, want); !bytes.Equal(g, w) {
+				t.Fatalf("golden diverged from cold run\ngolden: %s\ncold:   %s", g, w)
+			}
+			if s.LadderGoldens() != 0 {
+				t.Errorf("LadderGoldens = %d, want 0", s.LadderGoldens())
 			}
 		})
 	}

@@ -333,7 +333,9 @@ type Suite struct {
 	// trials differ only in FaultSeed and window, and fault eligibility
 	// consults the window before drawing randomness, so every trial whose
 	// window starts after the warmup resumes the fault-free run at the
-	// last rung before its first injection (see ladder.go).
+	// last rung before its first injection, reading the instruction tape
+	// that run recorded (see ladder.go). The campaign's golden run is
+	// that fault-free run (Golden).
 	ladderMu sync.Mutex
 	ladders  []*ladderEntry
 
@@ -347,6 +349,8 @@ type Suite struct {
 	ladderResumes  atomic.Uint64 // ladder runs resumed past rung 0
 	cleanShortcuts atomic.Uint64 // ladder runs that never inject, served without an engine
 	skippedInstrs  atomic.Uint64 // measured instructions ladder runs did not re-simulate
+	ladderGoldens  atomic.Uint64 // golden runs served from a ladder's fault-free pass
+	tapeTailReads  atomic.Uint64 // instructions ladder runs read past their tape's sealed end
 	intervalRuns   atomic.Uint64 // executed runs that used the interval-parallel path
 	recoveryRuns   atomic.Uint64 // executed runs simulated under checkpoint recovery
 	rollbacks      atomic.Uint64 // total rollbacks across all recovery runs
@@ -381,12 +385,12 @@ func (s *Suite) WithStore(st *store.Store) *Suite {
 
 // WithTelemetry attaches a metrics registry: the suite registers
 // sim_stage_seconds{stage} and times each pipeline stage into it —
-// cache_lookup, dedup_wait, store_fetch, store_write, warmup_share,
-// engine_run, and (via the context observer threaded into recovery)
-// recovery_rollback. Returns s for chaining.
+// cache_lookup, dedup_wait, store_fetch, store_write, ladder_build,
+// warmup_share, engine_run, and (via the context observer threaded into
+// recovery) recovery_rollback. Returns s for chaining.
 func (s *Suite) WithTelemetry(reg *telemetry.Registry) *Suite {
 	s.stages = reg.HistogramVec("sim_stage_seconds",
-		"Simulation pipeline stage durations: cache_lookup, dedup_wait, store_fetch, store_write, warmup_share, engine_run, recovery_rollback.",
+		"Simulation pipeline stage durations: cache_lookup, dedup_wait, store_fetch, store_write, ladder_build, warmup_share, engine_run, recovery_rollback.",
 		telemetry.DefTimeBuckets(), "stage")
 	return s
 }
@@ -463,6 +467,15 @@ func (s *Suite) CleanShortcuts() uint64 { return s.cleanShortcuts.Load() }
 // run, the whole measured run for a clean shortcut.
 func (s *Suite) SkippedInstrs() uint64 { return s.skippedInstrs.Load() }
 
+// LadderGoldens reports how many golden runs (Golden) were served from
+// the fault-free pass of a ladder instead of a separate simulation.
+func (s *Suite) LadderGoldens() uint64 { return s.ladderGoldens.Load() }
+
+// TapeTailReads reports how many instructions ladder-served simulations
+// read past the sealed end of their ladder's tape, from a private copy of
+// its generator (faulty trials fetch further than the fault-free run).
+func (s *Suite) TapeTailReads() uint64 { return s.tapeTailReads.Load() }
+
 // IntervalRuns reports how many executed simulations took the
 // interval-parallel path (Options.Intervals > 1).
 func (s *Suite) IntervalRuns() uint64 { return s.intervalRuns.Load() }
@@ -521,6 +534,20 @@ func (s *Suite) Get(ctx context.Context, m config.Machine, p trace.Profile) (Res
 // request-scoped options. Concurrent callers requesting the same
 // (machine, benchmark, options) key share one underlying run.
 func (s *Suite) GetOpt(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, error) {
+	return s.get(ctx, m, p, opt, false)
+}
+
+// Golden is GetOpt for the fault-free run a fault campaign compares its
+// trials against: same key, cache, store and singleflight, but a miss
+// whose trials can share a golden ladder builds that ladder and takes the
+// Result from its fault-free pass, so the campaign simulates that run
+// once rather than twice (see ladder.go).
+func (s *Suite) Golden(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, error) {
+	return s.get(ctx, m, p, opt, true)
+}
+
+// get serves GetOpt and Golden.
+func (s *Suite) get(ctx context.Context, m config.Machine, p trace.Profile, opt Options, golden bool) (Result, error) {
 	k := key(m, p, opt)
 	sh := s.shardFor(k)
 	for {
@@ -562,7 +589,7 @@ func (s *Suite) GetOpt(ctx context.Context, m config.Machine, p trace.Profile, o
 		s.observeStage(ctx, "cache_lookup", look)
 		s.cacheMiss.Add(1)
 
-		c.res, c.err = s.execute(ctx, m, p, opt)
+		c.res, c.err = s.execute(ctx, m, p, opt, golden)
 		sh.mu.Lock()
 		if c.err == nil {
 			sh.results[k] = c.res
@@ -576,7 +603,7 @@ func (s *Suite) GetOpt(ctx context.Context, m config.Machine, p trace.Profile, o
 
 // execute performs one cache-missing simulation: consult the persistent
 // store, otherwise run under the parallelism bound and write back.
-func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, error) {
+func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, opt Options, golden bool) (Result, error) {
 	var dk string
 	if s.disk != nil {
 		dk = digest(m, p, opt)
@@ -603,7 +630,7 @@ func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, 
 			s.stages.With(stage).Observe(seconds)
 		})
 	}
-	res, err := s.simulate(ctx, m, p, opt)
+	res, err := s.simulate(ctx, m, p, opt, golden)
 	if err != nil {
 		return Result{}, err
 	}
@@ -628,10 +655,15 @@ func (s *Suite) execute(ctx context.Context, m config.Machine, p trace.Profile, 
 	return res, nil
 }
 
-// simulate performs one underlying run, routing fault-campaign trials
-// through the shared golden ladder when that is provably equivalent to a
-// cold start, and everything else through RunContext.
-func (s *Suite) simulate(ctx context.Context, m config.Machine, p trace.Profile, opt Options) (Result, error) {
+// simulate performs one underlying run, routing fault-campaign golden
+// runs and trials through the shared golden ladder when that is provably
+// equivalent to a cold start, and everything else through RunContext.
+func (s *Suite) simulate(ctx context.Context, m config.Machine, p trace.Profile, opt Options, golden bool) (Result, error) {
+	if golden && ladderApplies(opt) {
+		if res, ok := s.goldenFromLadder(ctx, m, p, opt); ok {
+			return res, nil
+		}
+	}
 	if ladderServes(m, opt) {
 		if res, ok, err := s.runFromLadder(ctx, m, p, opt); err != nil || ok {
 			return res, err

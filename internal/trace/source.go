@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -179,7 +180,8 @@ func (r *Recording) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadRecording deserializes a trace written by WriteTo, validating every
-// record.
+// record and rejecting bytes past the last one, so whatever it accepts
+// writes back byte for byte.
 func ReadRecording(rd io.Reader) (*Recording, error) {
 	br := bufio.NewReader(rd)
 	magic := make([]byte, len(traceMagic))
@@ -199,13 +201,12 @@ func ReadRecording(rd io.Reader) (*Recording, error) {
 	if n == 0 || n > sanity || nWrong > sanity {
 		return nil, fmt.Errorf("trace: implausible record counts %d/%d", n, nWrong)
 	}
-	r := &Recording{
-		insts: make([]isa.Inst, n),
-		wrong: make([]isa.Inst, nWrong),
-	}
+	// The header is outside input: the streams grow as records actually
+	// arrive, so a short file claiming 2^30 records costs what it holds.
 	var rec [fullRecordBytes]byte
-	for _, stream := range [][]isa.Inst{r.insts, r.wrong} {
-		for i := range stream {
+	read := func(n uint32) ([]isa.Inst, error) {
+		var stream []isa.Inst
+		for i := uint32(0); i < n; i++ {
 			if _, err := io.ReadFull(br, rec[:]); err != nil {
 				return nil, fmt.Errorf("trace: reading record: %w", err)
 			}
@@ -213,8 +214,23 @@ func ReadRecording(rd io.Reader) (*Recording, error) {
 			if err := in.Validate(); err != nil {
 				return nil, fmt.Errorf("trace: record %d: %w", i, err)
 			}
-			stream[i] = in
+			stream = append(stream, in)
 		}
+		return stream, nil
+	}
+	r := &Recording{}
+	var err error
+	if r.insts, err = read(n); err != nil {
+		return nil, err
+	}
+	if r.wrong, err = read(nWrong); err != nil {
+		return nil, err
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the last record")
+		}
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return r, nil
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -129,5 +131,69 @@ func TestReadRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-5]
 	if _, err := ReadRecording(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated body accepted")
+	}
+}
+
+// FuzzReadRecording feeds arbitrary bytes to the trace decoder: it must
+// never panic, and whatever it accepts must write back byte for byte.
+// The committed corpus holds a valid capture, a truncated one, and a
+// header claiming 2^30 records of each stream.
+func FuzzReadRecording(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := ReadRecording(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := r.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("%d accepted bytes wrote back as %d different ones", len(data), buf.Len())
+		}
+	})
+}
+
+// TestReadRecordingTrustsNoHeader pins the decoder's memory to the bytes
+// it is given: a header claiming 2^30 records over one real record fails
+// without reserving room for the claim.
+func TestReadRecordingTrustsNoHeader(t *testing.T) {
+	rec, err := Capture(New(testProfile()), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := rec.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint32(data[len(traceMagic):], 1<<30)
+	binary.LittleEndian.PutUint32(data[len(traceMagic)+4:], 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadRecording(bytes.NewReader(data)); err == nil {
+		t.Fatal("a header claiming more records than the file holds was accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("decoding %d bytes allocated %d bytes", len(data), got)
+	}
+}
+
+func TestReadRejectsTrailingData(t *testing.T) {
+	rec, err := Capture(New(testProfile()), 10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := rec.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadRecording(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("valid capture rejected: %v", err)
+	}
+	buf.WriteByte(0)
+	if _, err := ReadRecording(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("trailing byte accepted")
 	}
 }
